@@ -1,6 +1,7 @@
 //! Figure 5a: router counts vs the Moore bound for diameter-2
 //! topologies — Slim Fly MMS, 2-level flattened butterfly, 2-stage fat
-//! tree (Long Hop's diameter-2 family is approximated per DESIGN.md).
+//! tree. Long Hop is not plotted: our substitute for its code-based
+//! construction (see `sf_topo::longhop`) has diameter 4–6, not 2.
 //!
 //! Usage: `fig5a_moore2 [--qmax 64]`
 //! Output: CSV `kprime,moore2,sf_nr,sf_frac,fbf2_nr,ft2_nr`.

@@ -5,7 +5,7 @@
 //!   `sf-bench run <file.toml|file.json> [--workers N] [--threads N]
 //!                 [--out PATH] [--format csv|jsonl] [--report PATH]
 //!                 [--cache DIR | --no-cache]
-//!                 [--check-builder] [--quiet]`
+//!                 [--check-sequential] [--quiet]`
 //!   `sf-bench validate <file>...`
 //!   `sf-bench verify <file>... [--quiet]`
 //!   `sf-bench survive <file>...`
@@ -21,7 +21,7 @@
 //! independent, the record stream is byte-identical for any value — CI
 //! exercises exactly that by diffing a `--threads 2` run against
 //! `--threads 1`. A run summary
-//! goes to stderr, keeping stdout pure CSV. `--check-builder` re-runs
+//! goes to stderr, keeping stdout pure CSV. `--check-sequential` re-runs
 //! the whole plan sequentially through the single-worker path and
 //! fails unless both record streams are byte-identical — the
 //! scheduler-determinism guard CI exercises on every push.
@@ -113,7 +113,7 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
         )));
     }
     let report_path: Option<String> = args.get("report").map(str::to_string);
-    let check_builder = args.flag("check-builder");
+    let check_sequential = args.flag("check-sequential");
     let cache = match resolve_cache_dir(args) {
         Some(dir) => Some(ResultCache::open(dir)?),
         None => None,
@@ -140,10 +140,10 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     }
 
     // Tee over borrowed sinks: stdout stays readable afterwards (it
-    // collects the records for --report/--check-builder).
+    // collects the records for --report/--check-sequential).
     let mut stdout_sink = StdoutCsvSink {
         quiet,
-        collect: report_path.is_some() || check_builder,
+        collect: report_path.is_some() || check_sequential,
         records: Vec::new(),
     };
     let mut file_sink: Option<Box<dyn RecordSink>> = match &out {
@@ -198,7 +198,7 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
         eprintln!("sf-bench: wrote report to {path}");
     }
 
-    if check_builder {
+    if check_sequential {
         // Re-run the same prepared set sequentially: run_job is
         // read-only, so networks/tables/routers/patterns are reused
         // and only the simulations repeat. Deliberately cache-free —
@@ -222,7 +222,7 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
             )));
         }
         eprintln!(
-            "sf-bench: --check-builder OK ({} records byte-identical to the sequential path)",
+            "sf-bench: --check-sequential OK ({} records byte-identical to the sequential path)",
             got.len()
         );
     }

@@ -1,7 +1,9 @@
 //! # sf-bench — benchmark harness for the Slim Fly paper
 //!
-//! One binary per table/figure of the paper's evaluation. Every binary
-//! is a thin declarative program over the `slimfly` experiment API:
+//! One binary per analytic table/figure of the paper's evaluation,
+//! plus `sf-bench`, which runs the simulation figures checked in as
+//! data under `figures/*.toml`. Every binary is a thin declarative
+//! program over the `slimfly` experiment API:
 //! topologies come from [`slimfly::spec::TopologySpec`] (and the
 //! [`slimfly::spec::roster`] registry), sweeps run through
 //! [`slimfly::experiment::Experiment`], and flags are parsed by the
@@ -54,14 +56,6 @@ pub fn f(v: f64) -> String {
     slimfly::experiment::fmt_float(v)
 }
 
-/// Prints experiment records as a CSV table (header + rows).
-pub fn print_records(records: &[Record]) {
-    print_line(format_args!("{}", Record::CSV_HEADER));
-    for r in records {
-        print_line(format_args!("{}", r.to_csv()));
-    }
-}
-
 /// A [`slimfly::sink::RecordSink`] that streams CSV rows to stdout as
 /// jobs finish (broken-pipe-safe like every bench binary) and
 /// optionally keeps a copy of the records for post-processing (report
@@ -95,23 +89,6 @@ impl slimfly::sink::RecordSink for StdoutCsvSink {
     }
 }
 
-/// Runs a plan through the work-stealing scheduler, streaming CSV to
-/// stdout, and returns the schedule report — the shared execution path
-/// of the figure wrapper binaries (records stream; nothing is
-/// buffered).
-pub fn run_plan_stdout(
-    plan: &slimfly::ExperimentPlan,
-    workers: usize,
-) -> Result<slimfly::schedule::ScheduleReport, SfError> {
-    let mut set = plan.expand()?;
-    let mut sink = StdoutCsvSink {
-        quiet: false,
-        collect: false,
-        records: Vec::new(),
-    };
-    slimfly::Scheduler::new(workers).run(&mut set, &mut sink)
-}
-
 /// Runs a bench body with parsed [`SweepArgs`], reporting any
 /// [`SfError`] on stderr with a non-zero exit code — the shared `main`
 /// of every binary in this crate. After the body succeeds, any
@@ -129,7 +106,7 @@ pub fn run_cli(body: impl FnOnce(&SweepArgs) -> Result<(), SfError>) {
 
 /// The shared CLI parser for sweep binaries.
 ///
-/// Grammar: boolean flags (`--large`), valued flags (`--size 1024`),
+/// Grammar: boolean flags (`--markdown`), valued flags (`--size 1024`),
 /// comma-separated lists (`--loads 0.1,0.2`), [`TopologySpec`] flags
 /// (`--topo sf:q=19`), [`TrafficSpec`] flags (`--traffic worst`), and
 /// bare positional values *before* any flag (`datacenter_design 4096`).
@@ -229,46 +206,6 @@ impl SweepArgs {
         }
     }
 
-    /// Routing-spec list value of `--name` — comma-separated
-    /// [`RoutingSpec`] strings (`--routing min,ugal-l:c=4,fatpaths:layers=3`)
-    /// — or `default` when absent. Malformed schemes surface as typed
-    /// routing errors (`ugal-l:c=0` fails here, not mid-sweep).
-    pub fn routing(
-        &self,
-        name: &str,
-        default: &[RoutingSpec],
-    ) -> Result<Vec<RoutingSpec>, SfError> {
-        match self.get(name) {
-            None => Ok(default.to_vec()),
-            Some(raw) => raw
-                .split(',')
-                .map(|v| v.parse::<RoutingSpec>().map_err(SfError::from))
-                .collect(),
-        }
-    }
-
-    /// Value of `--packet-size` (flits per packet) when present — the
-    /// shared multi-flit override of the figure wrappers: sizes > 1
-    /// run the sweep under wormhole flow control. `0` is a typed error
-    /// here, not a mid-sweep panic.
-    pub fn packet_size(&self) -> Result<Option<usize>, SfError> {
-        match self.get("packet-size") {
-            None => Ok(None),
-            Some(raw) => {
-                let ps: usize = raw
-                    .parse()
-                    .map_err(|_| SfError::Cli(format!("--packet-size: cannot parse {raw:?}")))?;
-                if !(1..=slimfly::sim::MAX_PACKET_SIZE).contains(&ps) {
-                    return Err(SfError::Cli(format!(
-                        "--packet-size must be in 1..={} flits, got {ps}",
-                        slimfly::sim::MAX_PACKET_SIZE
-                    )));
-                }
-                Ok(Some(ps))
-            }
-        }
-    }
-
     /// Errors on any `--flag` in the argv the program never queried —
     /// typo protection, called by [`run_cli`] after the body returns.
     pub fn check_unknown_flags(&self) -> Result<(), SfError> {
@@ -320,29 +257,6 @@ mod tests {
         assert!(matches!(
             a.traffic("traffic", TrafficSpec::Uniform).unwrap_err(),
             SfError::Traffic(_)
-        ));
-    }
-
-    #[test]
-    fn sweep_args_routing_lists() {
-        let a = args(&["--routing", "min,ugal-l:c=4,fatpaths:layers=2"]);
-        assert_eq!(
-            a.routing("routing", &[RoutingSpec::Min]).unwrap(),
-            vec![
-                RoutingSpec::Min,
-                RoutingSpec::UgalL { candidates: 4 },
-                RoutingSpec::FatPaths { layers: 2 },
-            ]
-        );
-        let a = args(&[]);
-        assert_eq!(
-            a.routing("routing", &[RoutingSpec::Ecmp]).unwrap(),
-            vec![RoutingSpec::Ecmp]
-        );
-        let a = args(&["--routing", "ugal-l:c=0"]);
-        assert!(matches!(
-            a.routing("routing", &[]).unwrap_err(),
-            SfError::Routing(_)
         ));
     }
 

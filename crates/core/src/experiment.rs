@@ -472,10 +472,12 @@ impl Experiment {
                 "offered load {bad} outside [0, 1]"
             )));
         }
-        if self.sim.num_vcs == 0 {
-            return Err(SfError::Experiment(
-                "num_vcs must be ≥ 1 (the simulator needs at least one virtual channel)".into(),
-            ));
+        if !(1..=sf_sim::MAX_VCS).contains(&self.sim.num_vcs) {
+            return Err(SfError::Experiment(format!(
+                "num_vcs must be in 1..={} (VC ids are 8-bit in the simulator), got {}",
+                sf_sim::MAX_VCS,
+                self.sim.num_vcs
+            )));
         }
         if !(1..=sf_sim::MAX_PACKET_SIZE).contains(&self.sim.packet_size) {
             return Err(SfError::Experiment(format!(

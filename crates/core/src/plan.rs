@@ -493,10 +493,12 @@ impl ExperimentPlan {
                     "offered load {bad} outside [0, 1]"
                 )));
             }
-            if sweep.sim.num_vcs == 0 {
-                return Err(SfError::Experiment(
-                    "num_vcs must be ≥ 1 (the simulator needs at least one virtual channel)".into(),
-                ));
+            if !(1..=sf_sim::MAX_VCS).contains(&sweep.sim.num_vcs) {
+                return Err(SfError::Experiment(format!(
+                    "num_vcs must be in 1..={} (VC ids are 8-bit in the simulator), got {}",
+                    sf_sim::MAX_VCS,
+                    sweep.sim.num_vcs
+                )));
             }
             if !(1..=sf_sim::MAX_PACKET_SIZE).contains(&sweep.sim.packet_size) {
                 return Err(SfError::Experiment(format!(
@@ -1683,6 +1685,25 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SfError::Routing(_)), "{err}");
+    }
+
+    #[test]
+    fn expansion_bounds_num_vcs_by_the_engine_vc_width() {
+        let plan = |vcs: usize| {
+            ExperimentPlan::from_toml_str(&format!(
+                "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\n[sweep.sim]\nnum_vcs = {vcs}"
+            ))
+            .unwrap()
+        };
+        // The engine stores VC ids as u8: 256 VCs is the widest ladder
+        // that does not wrap.
+        assert_eq!(sf_sim::MAX_VCS, 256);
+        assert!(plan(sf_sim::MAX_VCS).expand().is_ok());
+        for vcs in [sf_sim::MAX_VCS + 1, 300] {
+            let err = plan(vcs).expand().unwrap_err();
+            assert!(matches!(err, SfError::Experiment(_)), "{err}");
+            assert!(err.to_string().contains("num_vcs"), "{err}");
+        }
     }
 
     #[test]

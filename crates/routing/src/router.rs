@@ -345,7 +345,7 @@ struct Layer {
     tables: RoutingTables,
 }
 
-/// The degraded-operation connectivity criterion for FatPaths layers:
+/// The degraded-operation connectivity test for FatPaths layers:
 /// every **live** router of the base graph (degree > 0 — a degraded
 /// [`sf_topo::Network`] zeroes dead routers' cables and endpoints
 /// together, so degree-0 routers host no traffic) must reach every

@@ -245,12 +245,13 @@ const DROP_ROUTE: u32 = u32::MAX - 1;
 /// Router micro-architecture and measurement parameters (§V defaults).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Virtual channels per port. The paper quotes 3; its §IV-D scheme
-    /// needs 4 for 4-hop adaptive paths, so we default to 4 (see
-    /// DESIGN.md). Paths longer than `num_vcs` hops clamp to the last
-    /// VC, weakening the deadlock guarantee — raise this (e.g. to 6 for
-    /// Valiant on diameter-3 topologies) when routing non-minimally on
-    /// deeper networks.
+    /// Virtual channels per port (≥ 1, ≤ [`MAX_VCS`]). The paper quotes
+    /// 3, but its own §IV-D VC-ordering scheme needs one VC per hop of
+    /// the longest adaptive path (4 hops), so we default to 4. Paths
+    /// longer than `num_vcs` hops clamp to the last VC, weakening the
+    /// deadlock guarantee — raise this (e.g. to 6 for Valiant on
+    /// diameter-3 topologies) when routing non-minimally on deeper
+    /// networks.
     pub num_vcs: usize,
     /// Total flit buffering per port, split evenly across VCs (paper: 64;
     /// swept in Fig 8a).
@@ -297,6 +298,11 @@ pub struct SimConfig {
 /// are 16-bit and message sizes beyond this are unrealistic for the
 /// router buffers modeled here.
 pub const MAX_PACKET_SIZE: usize = 4096;
+
+/// Upper bound on [`SimConfig::num_vcs`] — the engine stores VC ids as
+/// `u8` (flit VC bases, credit and staging entries), so a larger
+/// budget would wrap the VC ladder instead of extending it.
+pub const MAX_VCS: usize = u8::MAX as usize + 1;
 
 /// Hop budget assumed for adaptively-routed packets (no precomputed
 /// path): UGAL / ECMP detours are at most `2 × diameter`, and every
@@ -1174,6 +1180,11 @@ impl<'a> Simulator<'a> {
             (1..=MAX_PACKET_SIZE).contains(&cfg.packet_size),
             "packet_size must be in 1..={MAX_PACKET_SIZE}, got {}",
             cfg.packet_size
+        );
+        assert!(
+            (1..=MAX_VCS).contains(&cfg.num_vcs),
+            "num_vcs must be in 1..={MAX_VCS}, got {}",
+            cfg.num_vcs
         );
         let nr = net.num_routers();
         let nvc = cfg.num_vcs;
