@@ -107,9 +107,8 @@ pub fn run_cli(body: impl FnOnce(&SweepArgs) -> Result<(), SfError>) {
 /// The shared CLI parser for sweep binaries.
 ///
 /// Grammar: boolean flags (`--markdown`), valued flags (`--size 1024`),
-/// comma-separated lists (`--loads 0.1,0.2`), [`TopologySpec`] flags
-/// (`--topo sf:q=19`), [`TrafficSpec`] flags (`--traffic worst`), and
-/// bare positional values *before* any flag (`datacenter_design 4096`).
+/// comma-separated lists (`--loads 0.1,0.2`), and bare positional
+/// values *before* any flag (`datacenter_design 4096`).
 /// Unknown or malformed values surface as typed [`SfError::Cli`] /
 /// parse errors, never panics.
 #[derive(Clone, Debug, Default)]
@@ -192,20 +191,6 @@ impl SweepArgs {
         }
     }
 
-    /// Topology spec value of `--name`, or `default` (itself parsed)
-    /// when absent.
-    pub fn spec(&self, name: &str, default: &str) -> Result<TopologySpec, SfError> {
-        self.get(name).unwrap_or(default).parse()
-    }
-
-    /// Traffic spec value of `--name`, or `default` when absent.
-    pub fn traffic(&self, name: &str, default: TrafficSpec) -> Result<TrafficSpec, SfError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => Ok(raw.parse::<TrafficSpec>().map_err(SfError::from)?),
-        }
-    }
-
     /// Errors on any `--flag` in the argv the program never queried —
     /// typo protection, called by [`run_cli`] after the body returns.
     pub fn check_unknown_flags(&self) -> Result<(), SfError> {
@@ -251,24 +236,15 @@ mod tests {
             a.value("size", 0usize).unwrap_err(),
             SfError::Cli(_)
         ));
-        let a = args(&["--topo", "zz:q=1"]);
-        assert!(a.spec("topo", "sf:q=5").is_err());
-        let a = args(&["--traffic", "wurst"]);
+        let a = args(&["--loads", "0.1,lots"]);
         assert!(matches!(
-            a.traffic("traffic", TrafficSpec::Uniform).unwrap_err(),
-            SfError::Traffic(_)
+            a.list("loads", &[0.5f64]).unwrap_err(),
+            SfError::Cli(_)
         ));
     }
 
     #[test]
     fn sweep_args_spec_and_positional() {
-        let a = args(&["--topo", "df:p=3"]);
-        assert_eq!(
-            a.spec("topo", "sf:q=5").unwrap(),
-            TopologySpec::dragonfly_balanced(3)
-        );
-        assert_eq!(a.spec("other", "sf:q=5").unwrap(), TopologySpec::slimfly(5));
-
         // Positionals come before flags; the scan stops at the first
         // flag token.
         let a = args(&["4096", "extra", "--size", "512"]);
@@ -282,7 +258,7 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected() {
         let a = args(&["--trafic", "worst"]);
-        let _ = a.traffic("traffic", TrafficSpec::Uniform);
+        let _ = a.get("traffic");
         let err = a.check_unknown_flags().unwrap_err();
         assert!(matches!(err, SfError::Cli(_)), "{err}");
         assert!(err.to_string().contains("--trafic"));
@@ -292,7 +268,7 @@ mod tests {
         );
 
         let a = args(&["--traffic", "worst"]);
-        let _ = a.traffic("traffic", TrafficSpec::Uniform);
+        let _ = a.get("traffic");
         assert!(a.check_unknown_flags().is_ok());
     }
 }

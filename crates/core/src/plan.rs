@@ -1283,38 +1283,67 @@ impl JobSet {
     /// cycle witness for proven deadlocks — before any cycle is
     /// simulated. Flow-backend jobs are skipped: they have no VC or
     /// wormhole semantics (and flow-only plans never build tables).
+    ///
+    /// The wormhole CDG does not depend on the packet size (see
+    /// [`sf_verify::wormhole`]), so one certificate is built per
+    /// packet-size class — distinct (topology instance, routing, VC
+    /// budget) — with the class's first packet size, and copied for
+    /// the others. Classes are certified in parallel; the first error
+    /// in job order wins, exactly as a sequential pass would report.
     pub fn verify(&mut self) -> Result<Vec<sf_verify::ComboCertificate>, SfError> {
         self.prepare()?;
-        let mut seen: Vec<(usize, RoutingSpec, usize, usize)> = Vec::new();
-        let mut certs = Vec::new();
-        for job in &self.jobs {
-            if job.backend != Backend::Cycle {
-                continue;
-            }
-            let key = (job.topo, job.routing, job.sim.num_vcs, job.sim.packet_size);
-            if seen.contains(&key) {
-                continue;
-            }
-            seen.push(key);
-            let ctx = &self.ctxs[job.topo];
-            // Certificates name the topology *instance*: the spec plus
-            // its fault suffix when degraded, so a degraded CDG proof
-            // is never mistaken for the intact one.
-            let label = match &self.faults[job.topo] {
-                None => self.topos[job.topo].to_string(),
-                Some(f) => format!("{}{}", self.topos[job.topo], f.suffix()),
+        // (topology, routing, VC budget) of each class with its first
+        // packet size, and (class, packet size) of each combo, both in
+        // job order.
+        let mut classes: Vec<(usize, RoutingSpec, usize, usize)> = Vec::new();
+        let mut combos: Vec<(usize, usize)> = Vec::new();
+        for job in self.jobs.iter().filter(|j| j.backend == Backend::Cycle) {
+            let (topo, routing, vcs) = (job.topo, job.routing, job.sim.num_vcs);
+            let class = match classes
+                .iter()
+                .position(|c| (c.0, c.1, c.2) == (topo, routing, vcs))
+            {
+                Some(c) => c,
+                None => {
+                    classes.push((topo, routing, vcs, job.sim.packet_size));
+                    classes.len() - 1
+                }
             };
-            let cert = sf_verify::verify_combo(
-                &label,
-                &ctx.net.graph,
-                ctx.tables(),
-                &job.routing,
-                job.sim.num_vcs,
-                job.sim.packet_size,
-            )?;
-            certs.push(cert);
+            if !combos.contains(&(class, job.sim.packet_size)) {
+                combos.push((class, job.sim.packet_size));
+            }
         }
-        Ok(certs)
+        let built: Vec<Result<sf_verify::ComboCertificate, sf_verify::VerifyError>> = classes
+            .par_iter()
+            .map(|&(topo, routing, num_vcs, packet_size)| {
+                let ctx = &self.ctxs[topo];
+                // Certificates name the topology *instance*: the spec
+                // plus its fault suffix when degraded, so a degraded
+                // CDG proof is never mistaken for the intact one.
+                let label = match &self.faults[topo] {
+                    None => self.topos[topo].to_string(),
+                    Some(f) => format!("{}{}", self.topos[topo], f.suffix()),
+                };
+                sf_verify::verify_combo(
+                    &label,
+                    &ctx.net.graph,
+                    ctx.tables(),
+                    &routing,
+                    num_vcs,
+                    packet_size,
+                )
+            })
+            .collect();
+        combos
+            .into_iter()
+            .map(|(class, packet_size)| match &built[class] {
+                Ok(cert) => Ok(sf_verify::ComboCertificate {
+                    packet_size,
+                    ..cert.clone()
+                }),
+                Err(e) => Err(e.clone().into()),
+            })
+            .collect()
     }
 
     /// Executes one job, returning its records in load order. The set

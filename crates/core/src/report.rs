@@ -10,7 +10,7 @@
 //! generated reports diff cleanly across PRs.
 
 use crate::experiment::{fmt_float, Record};
-use crate::plan::ExperimentPlan;
+use crate::plan::{Backend, ExperimentPlan};
 
 /// Renders records grouped per (topology, traffic) into markdown
 /// tables (see the [module docs](self)). `heading` becomes the
@@ -231,12 +231,17 @@ pub fn render_plan_report(plan: &ExperimentPlan, records: &[Record]) -> String {
         let slice = &records[offset..offset + count];
         offset += count;
         // Disambiguate against earlier sweeps that render the same
-        // (topology, traffic) headings: list the sim keys that differ.
+        // (topology, traffic, backend) headings: list the sim keys
+        // that differ. Other backends' headings already differ.
         let suffix = plan.sweeps[..si]
             .iter()
-            .find(|prev| prev.topos == sweep.topos && prev.traffic == sweep.traffic)
+            .find(|prev| {
+                prev.topos == sweep.topos
+                    && prev.traffic == sweep.traffic
+                    && prev.backend == sweep.backend
+            })
             .map(|prev| {
-                let diff = sim_diff(&prev.sim, &sweep.sim);
+                let diff = sim_diff(sweep.backend, &prev.sim, &sweep.sim);
                 if diff.is_empty() {
                     format!(" (sweep {})", si + 1)
                 } else {
@@ -252,29 +257,34 @@ pub fn render_plan_report(plan: &ExperimentPlan, records: &[Record]) -> String {
 }
 
 /// The `key = value` pairs in which `b` differs from `a`, in field
-/// order (the heading discriminator for same-topology sweeps).
-fn sim_diff(a: &sf_sim::SimConfig, b: &sf_sim::SimConfig) -> String {
+/// order (the heading discriminator for same-topology sweeps). Only
+/// the fields `backend` reads count: the flow tier uses just the
+/// per-hop latency terms, never the cycle engine's windows or buffers.
+fn sim_diff(backend: Backend, a: &sf_sim::SimConfig, b: &sf_sim::SimConfig) -> String {
     let mut parts = Vec::new();
     macro_rules! diff {
-        ($($field:ident),*) => {
+        ($($field:ident),*) => {{
             $(if a.$field != b.$field {
                 parts.push(format!(concat!(stringify!($field), " = {}"), b.$field));
             })*
-        };
+        }};
     }
-    diff!(
-        num_vcs,
-        buf_per_port,
-        channel_latency,
-        router_delay,
-        credit_delay,
-        output_speedup,
-        output_queue_cap,
-        warmup,
-        measure,
-        drain,
-        seed
-    );
+    match backend {
+        Backend::Flow => diff!(channel_latency, router_delay),
+        Backend::Cycle => diff!(
+            num_vcs,
+            buf_per_port,
+            channel_latency,
+            router_delay,
+            credit_delay,
+            output_speedup,
+            output_queue_cap,
+            warmup,
+            measure,
+            drain,
+            seed
+        ),
+    }
     parts.join(", ")
 }
 
@@ -383,5 +393,54 @@ mod tests {
         // plain grouped rendering (no panic, no drops beyond grouping).
         let md = render_plan_report(&plan, &records[..1]);
         assert_eq!(md.matches("## SF(q=5,p=4)").count(), 1);
+    }
+
+    #[test]
+    fn flow_headings_list_only_the_fields_flow_reads() {
+        // A flow sweep after a cycle sweep on the same topology: the
+        // backend note already tells them apart, and the cycle windows
+        // (warmup, measure, drain) mean nothing to the flow tier.
+        let plan = ExperimentPlan::from_toml_str(
+            r#"
+            [figure]
+            name = "mixed"
+            [[sweep]]
+            topo = "sf:q=5"
+            loads = [0.1]
+            [sweep.sim]
+            warmup = 150
+            [[sweep]]
+            topo = "sf:q=5"
+            backend = "flow"
+            loads = [0.1]
+            [[sweep]]
+            topo = "sf:q=5"
+            backend = "flow"
+            loads = [0.1]
+            [sweep.sim]
+            warmup = 500
+            router_delay = 5
+            "#,
+        )
+        .unwrap();
+        let flow = |latency| Record {
+            backend: "flow".into(),
+            ..rec("SF(q=5,p=4)", "MIN", 0.1, latency, false)
+        };
+        let records = vec![
+            rec("SF(q=5,p=4)", "MIN", 0.1, 11.0, false),
+            flow(9.0),
+            flow(10.0),
+        ];
+        let md = render_plan_report(&plan, &records);
+        assert!(
+            md.contains("## SF(q=5,p=4) — uniform traffic, flow backend\n"),
+            "{md}"
+        );
+        assert!(
+            md.contains("## SF(q=5,p=4) — uniform traffic, flow backend (router_delay = 5)\n"),
+            "{md}"
+        );
+        assert!(!md.contains("warmup"), "{md}");
     }
 }

@@ -4,25 +4,36 @@
 //! CDG is acyclic.
 //!
 //! The representation is fully deterministic: channels get dense ids in
-//! first-seen order out of a `BTreeMap` key index (no unordered hash
-//! iteration anywhere — see the `sf-lint` `hash-container` rule), the
-//! reverse map [`ChannelDependencyGraph::channel`] renders ids back to
+//! first-seen order out of a per-tail-router key index (for each
+//! `from`, a sorted list of its `(to, vc, id)` entries — at most
+//! degree × VCs long, so a lookup is one short binary search; no
+//! unordered hash iteration anywhere — see the `sf-lint`
+//! `hash-container` rule), the reverse map
+//! [`ChannelDependencyGraph::channel`] renders ids back to
 //! `(from, to, vc)` triples for cycle witnesses, and successor lists
 //! are kept sorted so edges deduplicate in `O(log deg)` and every
 //! traversal — including [`ChannelDependencyGraph::find_cycle`] — visits
 //! them in one canonical order regardless of insertion history.
 
-use std::collections::BTreeMap;
-
 /// A channel dependency graph over directed channels tagged with VCs.
 #[derive(Default)]
 pub struct ChannelDependencyGraph {
-    /// Key index: (from, to, vc) → dense id, first-seen order.
-    ids: BTreeMap<(u32, u32, u8), u32>,
+    /// Key index: `by_tail[from]` holds `(to, vc, id)` for every
+    /// channel leaving router `from`, sorted by `(to, vc)`; ids are
+    /// dense in first-seen order. Sized by the largest tail router.
+    by_tail: Vec<Vec<(u32, u8, u32)>>,
     /// Reverse map: dense id → (from, to, vc), for witness rendering.
     chans: Vec<(u32, u32, u8)>,
     /// Adjacency: sorted, deduplicated dependency edges between ids.
     succ: Vec<Vec<u32>>,
+}
+
+/// Position of channel `(to, vc)` in one sorted tail list. Probes
+/// compare the packed key `to << 8 | vc`, one integer compare instead
+/// of a tuple's two: lookups are the CDG build's hot loop.
+fn tail_pos(list: &[(u32, u8, u32)], to: u32, vc: u8) -> Result<usize, usize> {
+    let key = |to: u32, vc: u8| u64::from(to) << 8 | u64::from(vc);
+    list.binary_search_by_key(&key(to, vc), |&(t, v, _)| key(t, v))
 }
 
 impl ChannelDependencyGraph {
@@ -33,13 +44,27 @@ impl ChannelDependencyGraph {
 
     /// Dense id of channel `(from, to, vc)`, allocating on first use.
     fn channel_id(&mut self, from: u32, to: u32, vc: u8) -> u32 {
-        let next = self.chans.len() as u32;
-        let id = *self.ids.entry((from, to, vc)).or_insert(next);
-        if id == next {
-            self.chans.push((from, to, vc));
-            self.succ.push(Vec::new());
+        let f = from as usize;
+        if f >= self.by_tail.len() {
+            self.by_tail.resize_with(f + 1, Vec::new);
         }
-        id
+        let list = &mut self.by_tail[f];
+        match tail_pos(list, to, vc) {
+            Ok(i) => list[i].2,
+            Err(i) => {
+                let id = self.chans.len() as u32;
+                list.insert(i, (to, vc, id));
+                self.chans.push((from, to, vc));
+                self.succ.push(Vec::new());
+                id
+            }
+        }
+    }
+
+    /// Dense id of channel `(from, to, vc)` if it has been seen.
+    pub fn channel_id_of(&self, (from, to, vc): (u32, u32, u8)) -> Option<u32> {
+        let list = self.by_tail.get(from as usize)?;
+        tail_pos(list, to, vc).ok().map(|i| list[i].2)
     }
 
     /// Inserts edge `p → c` into the sorted successor list; returns the
@@ -91,6 +116,15 @@ impl ChannelDependencyGraph {
         self.chans[id as usize]
     }
 
+    /// Every dependency edge as a `(held, requested)` channel pair,
+    /// ordered by the held channel's id, then the requested one's.
+    pub fn edges(&self) -> impl Iterator<Item = ((u32, u32, u8), (u32, u32, u8))> + '_ {
+        self.succ.iter().enumerate().flat_map(move |(p, cs)| {
+            cs.iter()
+                .map(move |&c| (self.chans[p], self.chans[c as usize]))
+        })
+    }
+
     /// Attempts to add `path` (all hops on VC `vc`); if the addition
     /// would create a cycle the graph is rolled back and `false` is
     /// returned. Used by the incremental layered assignment.
@@ -117,8 +151,11 @@ impl ChannelDependencyGraph {
             for &(node, pos) in inserted.iter().rev() {
                 self.succ[node as usize].remove(pos);
             }
-            for &key in &self.chans[ids_before..] {
-                self.ids.remove(&key);
+            for &(from, to, vc) in &self.chans[ids_before..] {
+                let list = &mut self.by_tail[from as usize];
+                if let Ok(i) = tail_pos(list, to, vc) {
+                    list.remove(i);
+                }
             }
             self.chans.truncate(ids_before);
             self.succ.truncate(ids_before);
@@ -250,8 +287,8 @@ mod tests {
         assert_eq!(w.first(), w.last(), "witness closes on itself");
         // Every consecutive pair must be a real dependency edge.
         for pair in w.windows(2) {
-            let p = cdg.ids[&pair[0]];
-            let c = cdg.ids[&pair[1]];
+            let p = cdg.channel_id_of(pair[0]).unwrap();
+            let c = cdg.channel_id_of(pair[1]).unwrap();
             assert!(cdg.succ[p as usize].binary_search(&c).is_ok());
         }
         // Deterministic: a second extraction is identical.

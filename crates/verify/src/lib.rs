@@ -23,8 +23,9 @@
 //! expansion, so statically-deadlockable configurations are rejected
 //! with a typed diagnostic before any cycle is simulated.
 //!
-//! Everything here is deterministic by construction (`BTreeMap` keyed
-//! channel ids, sorted successor lists); the companion `sf-lint`
+//! Everything here is deterministic by construction (channel ids
+//! dense in first-seen order out of a sorted per-tail-router index,
+//! sorted successor lists); the companion `sf-lint`
 //! binary enforces the same contract — no unordered hash iteration, no
 //! wall-clock reads, no bare `unwrap()` — across the simulation
 //! crates.

@@ -11,9 +11,91 @@ use sf_routing::{FatPathsRouter, PathGen, RoutingSpec, RoutingTables};
 use sf_topo::random_dln::RandomDln;
 use sf_topo::SlimFly;
 use sf_verify::{
-    hop_index_is_deadlock_free, hop_index_vcs, verify_combo, wormhole_cdg, ChannelDependencyGraph,
-    VerifyError,
+    hop_index_is_deadlock_free, hop_index_vcs, render_witness, verify_combo, wormhole_cdg,
+    ChannelDependencyGraph, VerifyError,
 };
+use std::collections::BTreeSet;
+
+type Chan = (u32, u32, u8);
+
+/// Random walks over a random simple graph on `n` routers: each walk
+/// starts at `start % n` and takes each step to neighbour
+/// `choice % degree` on VC `vc`. A walk stops early at an isolated
+/// router, so it may have a single router and no hop.
+fn random_walks(
+    n: u32,
+    edges: &[(u32, u32)],
+    walks: &[(u32, Vec<(usize, u8)>)],
+) -> Vec<(Vec<u32>, Vec<u8>)> {
+    let mut simple: Vec<(u32, u32)> = edges
+        .iter()
+        .map(|&(a, b)| (a % n, b % n))
+        .filter(|&(a, b)| a != b)
+        .map(|(a, b)| (a.min(b), a.max(b)))
+        .collect();
+    simple.sort_unstable();
+    simple.dedup();
+    let g = sf_graph::Graph::from_edges(n as usize, &simple);
+    walks
+        .iter()
+        .map(|(start, steps)| {
+            let mut path = vec![start % n];
+            let mut vcs = Vec::new();
+            for &(choice, vc) in steps {
+                let nb = g.neighbors(*path.last().unwrap());
+                if nb.is_empty() {
+                    break;
+                }
+                path.push(nb[choice % nb.len()]);
+                vcs.push(vc);
+            }
+            (path, vcs)
+        })
+        .collect()
+}
+
+/// The naive model of a CDG fed paths in order: channels in
+/// first-seen order and the set of consecutive channel pairs.
+#[derive(Default)]
+struct NaiveCdg {
+    chans: Vec<Chan>,
+    edges: BTreeSet<(Chan, Chan)>,
+}
+
+impl NaiveCdg {
+    fn see(&mut self, c: Chan) {
+        if !self.chans.contains(&c) {
+            self.chans.push(c);
+        }
+    }
+
+    fn add_path(&mut self, path: &[u32], vcs: &[u8]) {
+        let hops: Vec<Chan> = path
+            .windows(2)
+            .zip(vcs)
+            .map(|(w, &vc)| (w[0], w[1], vc))
+            .collect();
+        for &c in &hops {
+            self.see(c);
+        }
+        for pair in hops.windows(2) {
+            self.edges.insert((pair[0], pair[1]));
+        }
+    }
+
+    /// Asserts `cdg` has exactly this model's channels (same dense
+    /// ids) and edges.
+    fn check(&self, cdg: &ChannelDependencyGraph) {
+        assert_eq!(cdg.num_channels(), self.chans.len());
+        for (id, &c) in self.chans.iter().enumerate() {
+            assert_eq!(cdg.channel(id as u32), c);
+            assert_eq!(cdg.channel_id_of(c), Some(id as u32));
+        }
+        assert_eq!(cdg.num_edges(), self.edges.len());
+        let edges: BTreeSet<(Chan, Chan)> = cdg.edges().collect();
+        assert_eq!(&edges, &self.edges);
+    }
+}
 
 fn slimfly_graph(q: u32) -> sf_graph::Graph {
     SlimFly::new(q).unwrap().router_graph()
@@ -82,6 +164,70 @@ proptest! {
         let far = vec![100, 101, 102];
         prop_assert!(cdg.try_add_path_acyclic(&far, 0));
         prop_assert!(cdg.is_acyclic());
+    }
+
+    #[test]
+    fn cdg_index_matches_naive_channel_pairs(
+        n in 2u32..9,
+        edges in prop::collection::vec((0u32..9, 0u32..9), 1..20),
+        walks in prop::collection::vec(
+            (0u32..9, prop::collection::vec((0usize..16, 0u8..3), 0..6)),
+            1..24,
+        ),
+        by_edge in prop::collection::vec(any::<bool>(), 24),
+    ) {
+        // The per-tail key index is unobservable: ids come out dense
+        // in first-seen order and the edge set is exactly the set of
+        // consecutive channel pairs, whether paths arrive whole or as
+        // explicit edges.
+        let mut cdg = ChannelDependencyGraph::new();
+        let mut naive = NaiveCdg::default();
+        for (i, (path, vcs)) in random_walks(n, &edges, &walks).iter().enumerate() {
+            if by_edge[i] {
+                // Explicit edges register no channel for a one-hop walk.
+                for (w, v) in path.windows(3).zip(vcs.windows(2)) {
+                    cdg.add_edge((w[0], w[1], v[0]), (w[1], w[2], v[1]));
+                }
+                if path.len() >= 3 {
+                    naive.add_path(path, vcs);
+                }
+            } else {
+                cdg.add_path(path, vcs);
+                naive.add_path(path, vcs);
+            }
+        }
+        naive.check(&cdg);
+        // A self-loop channel is never seen.
+        prop_assert_eq!(cdg.channel_id_of((0, 0, 0)), None);
+        prop_assert_eq!(cdg.channel_id_of((100, 0, 0)), None);
+    }
+
+    #[test]
+    fn rejected_paths_leave_no_trace_in_the_index(
+        n in 3u32..9,
+        edges in prop::collection::vec((0u32..9, 0u32..9), 3..20),
+        walks in prop::collection::vec(
+            (0u32..9, prop::collection::vec((0usize..16, 0u8..1), 1..6)),
+            1..24,
+        ),
+    ) {
+        // After each try_add_path_acyclic the graph equals the naive
+        // model of the accepted paths only: a rejected path's new
+        // channels leave the index, so the next new channel gets the
+        // next dense id.
+        let mut cdg = ChannelDependencyGraph::new();
+        let mut naive = NaiveCdg::default();
+        for (path, vcs) in random_walks(n, &edges, &walks) {
+            if cdg.try_add_path_acyclic(&path, 0) {
+                naive.add_path(&path, &vcs);
+            }
+            naive.check(&cdg);
+            prop_assert!(cdg.is_acyclic());
+        }
+        let next = cdg.num_channels() as u32;
+        cdg.add_edge((100, 101, 0), (101, 102, 0));
+        prop_assert_eq!(cdg.channel_id_of((100, 101, 0)), Some(next));
+        prop_assert_eq!(cdg.channel_id_of((101, 102, 0)), Some(next + 1));
     }
 
     #[test]
@@ -157,6 +303,32 @@ proptest! {
             other => prop_assert!(false, "expected Deadlock, got {other}"),
         }
     }
+}
+
+#[test]
+fn deadlock_witnesses_are_pinned() {
+    // Channel ids are first-seen, so the witness a CDG yields is a
+    // fixed function of the builder's insertion order. These strings
+    // were captured with the earlier `BTreeMap` key index.
+    let edges: Vec<(u32, u32)> = (0..8u32).map(|i| (i, (i + 1) % 8)).collect();
+    let ring = sf_graph::Graph::from_edges(8, &edges);
+    let t = RoutingTables::new(&ring);
+    let w = wormhole_cdg(&ring, &t, &RoutingSpec::Min, 1).unwrap();
+    assert_eq!((w.cdg.num_channels(), w.cdg.num_edges()), (16, 16));
+    assert_eq!(
+        render_witness(&w.cdg.find_cycle().unwrap()),
+        "(0→1 vc0) → (1→2 vc0) → (2→3 vc0) → (3→4 vc0) → (4→5 vc0) → (5→6 vc0) → \
+         (6→7 vc0) → (7→0 vc0) → (0→1 vc0)"
+    );
+
+    let p3 = sf_graph::Graph::from_edges(3, &[(0, 1), (1, 2)]);
+    let t = RoutingTables::new(&p3);
+    let w = wormhole_cdg(&p3, &t, &RoutingSpec::Valiant { cap3: false }, 1).unwrap();
+    assert_eq!((w.cdg.num_channels(), w.cdg.num_edges()), (4, 6));
+    assert_eq!(
+        render_witness(&w.cdg.find_cycle().unwrap()),
+        "(1→0 vc0) → (0→1 vc0) → (1→0 vc0)"
+    );
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! `sf-bench run` execute before any cycle is simulated.
 
 use slimfly::plan::ExperimentPlan;
-use slimfly::verify::{DeadlockStatus, VerifyError};
+use slimfly::verify::{verify_combo, DeadlockStatus, VerifyError};
 use slimfly::SfError;
 
 #[test]
@@ -117,4 +117,70 @@ fn verified_plans_still_run() {
     let mut sink = slimfly::sink::MemorySink::new();
     slimfly::Scheduler::new(1).run(&mut set, &mut sink).unwrap();
     assert_eq!(sink.records().len(), 1);
+}
+
+#[test]
+fn verify_dedupes_packet_sizes() {
+    // The wormhole CDG is packet-size invariant, so `verify` certifies
+    // each (topology, routing, VC budget) class once and copies the
+    // certificate per packet size. That must be unobservable: the
+    // result equals one `verify_combo` call per combination, in job
+    // order.
+    let plan = ExperimentPlan::from_toml_str(
+        "[figure]\nname = \"verify-dedupe\"\n\
+         [[sweep]]\ntopo = \"sf:q=5\"\n\
+         routing = [\"min\", \"ugal-l:c=4\", \"fatpaths:layers=2\"]\n\
+         loads = [0.1]\npacket_sizes = [1, 4]\n",
+    )
+    .unwrap();
+    let mut set = plan.expand().unwrap();
+    let certs = set.verify().unwrap();
+    assert_eq!(set.topos().len(), 1, "both sizes share one topology");
+    let mut expected = Vec::new();
+    let mut seen = Vec::new();
+    for job in set.jobs() {
+        let key = (job.routing, job.sim.num_vcs, job.sim.packet_size);
+        if seen.contains(&key) {
+            continue;
+        }
+        seen.push(key);
+        let ctx = set.ctx(job);
+        expected.push(
+            verify_combo(
+                &set.topos()[job.topo].to_string(),
+                &ctx.net.graph,
+                ctx.tables(),
+                &job.routing,
+                job.sim.num_vcs,
+                job.sim.packet_size,
+            )
+            .unwrap(),
+        );
+    }
+    assert_eq!(expected.len(), 6, "3 routings × 2 packet sizes");
+    assert_eq!(certs, expected);
+    let sizes: Vec<usize> = certs.iter().map(|c| c.packet_size).collect();
+    assert_eq!(sizes, [1, 1, 1, 4, 4, 4]);
+}
+
+#[test]
+fn deduped_deadlock_reports_the_first_packet_size() {
+    // Sizes 4 and 1 share one deadlocking CDG; the error names the
+    // size of the first job in plan order.
+    let plan = ExperimentPlan::from_toml_str(
+        "[figure]\nname = \"verify-ring-sizes\"\n\
+         [[sweep]]\ntopo = \"torus:dims=16\"\nrouting = [\"min\"]\nloads = [0.1]\n\
+         packet_sizes = [4, 1]\n\
+         [sweep.sim]\nnum_vcs = 1\n",
+    )
+    .unwrap();
+    let mut set = plan.expand().unwrap();
+    match set.verify() {
+        Err(SfError::Verify(VerifyError::Deadlock {
+            packet_size,
+            num_vcs,
+            ..
+        })) => assert_eq!((packet_size, num_vcs), (4, 1)),
+        other => panic!("expected a deadlock for packet size 4, got {other:?}"),
+    }
 }
