@@ -1276,8 +1276,9 @@ impl JobSet {
     /// Statically verifies every distinct (topology, routing, VC
     /// budget, packet size) combination a cycle-backend job will
     /// exercise: routing totality (every router pair reachable within
-    /// the scheme's hop bound) and wormhole deadlock freedom under the
-    /// engine's exact VC-allocation arithmetic. Returns one
+    /// the scheme's hop bound), the engine's path limit
+    /// ([`sf_verify::check_path_limit`]) and wormhole deadlock freedom
+    /// under the engine's exact VC-allocation arithmetic. Returns one
     /// [`sf_verify::ComboCertificate`] per combination, in job order;
     /// fails with a typed [`SfError::Verify`] — including a rendered
     /// cycle witness for proven deadlocks — before any cycle is
@@ -1317,15 +1318,8 @@ impl JobSet {
             .par_iter()
             .map(|&(topo, routing, num_vcs, packet_size)| {
                 let ctx = &self.ctxs[topo];
-                // Certificates name the topology *instance*: the spec
-                // plus its fault suffix when degraded, so a degraded
-                // CDG proof is never mistaken for the intact one.
-                let label = match &self.faults[topo] {
-                    None => self.topos[topo].to_string(),
-                    Some(f) => format!("{}{}", self.topos[topo], f.suffix()),
-                };
                 sf_verify::verify_combo(
-                    &label,
+                    &self.instance_label(topo),
                     &ctx.net.graph,
                     ctx.tables(),
                     &routing,
@@ -1346,6 +1340,16 @@ impl JobSet {
             .collect()
     }
 
+    /// The name certificates give topology instance `topo`: the spec
+    /// plus its fault suffix when degraded, so a degraded CDG proof is
+    /// never mistaken for the intact one.
+    fn instance_label(&self, topo: usize) -> String {
+        match &self.faults[topo] {
+            None => self.topos[topo].to_string(),
+            Some(f) => format!("{}{}", self.topos[topo], f.suffix()),
+        }
+    }
+
     /// Executes one job, returning its records in load order. The set
     /// must be prepared. Deterministic: depends only on the job and
     /// the topology, never on other jobs or thread timing. Router,
@@ -1364,6 +1368,10 @@ impl JobSet {
 
     fn run_cycle_job(&self, job: &Job) -> Result<Vec<Record>, SfError> {
         let ctx = self.ctx(job);
+        // The verify pass makes this check too; repeat it for callers
+        // that run jobs without verifying.
+        let diameter = ctx.tables().max_distance() as usize;
+        sf_verify::check_path_limit(&self.instance_label(job.topo), &job.routing, diameter)?;
         let spec_str = self.topos[job.topo].to_string();
         let router_slot = &self.routers[self.router_of[job.id]];
         let router: &dyn Router = match router_slot.get() {

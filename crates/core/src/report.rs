@@ -232,11 +232,14 @@ pub fn render_plan_report(plan: &ExperimentPlan, records: &[Record]) -> String {
         offset += count;
         // Disambiguate against earlier sweeps that render the same
         // (topology, traffic, backend) headings: list the sim keys
-        // that differ. Other backends' headings already differ.
+        // that differ. Other backends' headings already differ, and so
+        // do other fault plans (the topology label carries the fault
+        // suffix).
         let suffix = plan.sweeps[..si]
             .iter()
             .find(|prev| {
                 prev.topos == sweep.topos
+                    && prev.faults == sweep.faults
                     && prev.traffic == sweep.traffic
                     && prev.backend == sweep.backend
             })
@@ -308,6 +311,23 @@ mod tests {
             saturated,
             max_link_util: 0.4,
         }
+    }
+
+    #[test]
+    fn sweeps_differing_only_in_faults_get_no_suffix() {
+        let plan = ExperimentPlan::from_toml_str(
+            "[figure]\nname = \"faults\"\n\
+             [defaults]\nrouting = [\"min\"]\nloads = [0.1]\n\
+             [[sweep]]\ntopo = \"sf:q=5\"\nfault_fractions = [0.01, 0.02]\n",
+        )
+        .unwrap();
+        let records = vec![
+            rec("SF(q=5,p=4) [faults l=0.01]", "MIN", 0.1, 11.0, false),
+            rec("SF(q=5,p=4) [faults l=0.02]", "MIN", 0.1, 12.0, false),
+        ];
+        let md = render_plan_report(&plan, &records);
+        assert_eq!(md.matches("## ").count(), 2, "{md}");
+        assert!(!md.contains("(sweep"), "{md}");
     }
 
     #[test]

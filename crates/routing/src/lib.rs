@@ -32,7 +32,7 @@ pub mod tables;
 pub use paths::{PathGen, RouteAlgo};
 pub use router::{
     AdaptiveEcmpRouter, FatPathsRouter, MinRouter, NoQueues, QueueView, RouteCtx, RouteDecision,
-    Router, UgalRouter, ValiantRouter,
+    Router, UgalRouter, ValiantRouter, MAX_PATH_HOPS,
 };
 pub use spec::{RoutingError, RoutingSpec};
 pub use tables::RoutingTables;

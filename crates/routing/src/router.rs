@@ -122,10 +122,17 @@ impl<'a> RouteCtx<'a> {
     }
 }
 
+/// Maximum hops of a source route: the engine's per-packet path
+/// array holds `MAX_PATH_HOPS + 1` routers. FatPaths rejects base
+/// graphs whose layers would need more, and plans whose scheme hop
+/// bound exceeds it are rejected before simulation.
+pub const MAX_PATH_HOPS: usize = 9;
+
 /// Outcome of the injection-time routing decision.
 pub enum RouteDecision {
     /// Source routing: the full router path (source first, destination
-    /// last; `[r]` when source and destination share a router).
+    /// last; `[r]` when source and destination share a router), at most
+    /// [`MAX_PATH_HOPS`] hops.
     Path(Vec<u32>),
     /// Per-hop routing: the packet carries only its destination and the
     /// engine calls [`Router::next_hop`] at every router.
@@ -324,11 +331,6 @@ impl Router for AdaptiveEcmpRouter {
 // FatPaths-style layered multipath routing.
 // ---------------------------------------------------------------------
 
-/// Maximum router-path hops any FatPaths layer may require. Keeps layer
-/// paths within the simulator's per-packet path budget and bounds the
-/// VC pressure of the hop-index deadlock-avoidance scheme.
-pub const FATPATHS_MAX_LAYER_HOPS: usize = 9;
-
 /// Maximum FatPaths layer count — the single bound shared by spec
 /// validation and [`FatPathsRouter::build`].
 pub const FATPATHS_MAX_LAYERS: usize = 16;
@@ -375,7 +377,7 @@ fn live_connected(base: &Graph, t: &RoutingTables) -> bool {
 ///
 /// Layer construction enforces connectivity and a per-layer diameter of
 /// at most `base diameter + 2` (never more than
-/// [`FATPATHS_MAX_LAYER_HOPS`]) by re-adding deleted edges when a
+/// [`MAX_PATH_HOPS`]) by re-adding deleted edges when a
 /// candidate subgraph degrades too far. Deadlock freedom rides on the
 /// strictly increasing hop-index VC scheme exactly as Valiant detours
 /// do — the CDG of hop-indexed channels over all layers' paths is
@@ -429,11 +431,11 @@ impl FatPathsRouter {
                 "more than {FATPATHS_MAX_LAYERS} layers is never useful"
             )));
         }
-        if tables.max_distance() as usize > FATPATHS_MAX_LAYER_HOPS {
+        if tables.max_distance() as usize > MAX_PATH_HOPS {
             return Err(invalid(format!(
                 "base graph diameter {} exceeds the {}-hop layer budget",
                 tables.max_distance(),
-                FATPATHS_MAX_LAYER_HOPS
+                MAX_PATH_HOPS
             )));
         }
         if !live_connected(graph, tables) {
@@ -446,7 +448,7 @@ impl FatPathsRouter {
         // Degraded layers may detour at most 2 hops past the base
         // diameter: keeps VC pressure near the simulator's default
         // budget (see the deadlock note on the type).
-        let hop_budget = (tables.max_distance() as usize + 2).min(FATPATHS_MAX_LAYER_HOPS);
+        let hop_budget = (tables.max_distance() as usize + 2).min(MAX_PATH_HOPS);
         let mut layers = Vec::with_capacity(num_layers);
         layers.push(Layer {
             graph: graph.clone(),
@@ -670,7 +672,7 @@ mod tests {
         let (g, t) = sf5();
         let fp = FatPathsRouter::build(&g, &t, 3, FATPATHS_SEED).unwrap();
         assert_eq!(fp.num_layers(), 3);
-        assert!(fp.max_path_hops() <= FATPATHS_MAX_LAYER_HOPS);
+        assert!(fp.max_path_hops() <= MAX_PATH_HOPS);
         for l in 0..fp.num_layers() {
             let lt = fp.layer_tables(l);
             for v in 0..g.num_vertices() as u32 {
@@ -723,7 +725,7 @@ mod tests {
             match fp.route(&ctx, &mut rng) {
                 RouteDecision::Path(p) => {
                     validate_path(&g, &p, ctx.src, ctx.dst);
-                    assert!(p.len() - 1 <= FATPATHS_MAX_LAYER_HOPS);
+                    assert!(p.len() - 1 <= MAX_PATH_HOPS);
                 }
                 RouteDecision::PerHop => panic!("FatPaths is source-routed"),
             }

@@ -2,8 +2,10 @@
 //!
 //! One [`Simulator`] instance owns the full router state for a network ×
 //! routing-algorithm × traffic-pattern configuration at one offered load.
-//! [`LoadSweep`] runs many loads in parallel (rayon) to produce the
-//! latency-vs-load curves of Fig 6 / Fig 8.
+//! A latency-vs-load curve (Fig 6 / Fig 8) is one simulator per load,
+//! with the per-load seed of [`LoadSweep::seed_for_load`] (or one
+//! re-armed simulator, [`LoadSweep::run_warm`]); the job scheduler in
+//! `slimfly` runs those in parallel.
 //!
 //! # Engine internals: state layout and the hot path
 //!
@@ -122,19 +124,21 @@
 //! are routed to the destination shard's rotating delay buckets through
 //! an `EventSink`.
 //!
-//! [`SimConfig::threads`] picks the driver, not the semantics:
-//!
-//! * `threads = 1` (the default) runs the shards on the calling thread,
-//!   phase-major, with **no barriers, locks or outbox indirection** —
-//!   events are pushed straight into the destination shard's buckets.
-//! * `threads = N` distributes contiguous shard ranges over `N` scoped
-//!   worker threads that run three barrier-separated phase groups per
-//!   cycle — {event delivery + arrivals} | {generation, injection,
-//!   ejection} | {switch allocation, transmission} — with cross-shard
-//!   events accumulated in per-thread outboxes, published to per-shard
-//!   mailboxes at the end of the cycle, and drained by the owner at the
-//!   next cycle's first group (wire/credit delays are ≥ 1 cycle, so a
-//!   delivery at the start of the next cycle is never late).
+//! Every step runs through one driver. [`SimConfig::threads`] sets the
+//! number of workers, not the semantics: the shards are split into
+//! contiguous ranges over the workers. Worker 0 is the calling thread
+//! and the others are scoped threads, so `threads = 1` (the default)
+//! spawns nothing. Each cycle is three phase groups separated by
+//! barriers — {mail delivery + arrivals} | {generation, injection,
+//! ejection} | {switch allocation, transmission} — and inside a group
+//! a worker runs each phase over all of its shards before starting
+//! the next phase. An event bound for a shard the worker owns goes
+//! straight into that shard's buckets. Any other event waits in the
+//! worker's outbox, is published to a per-(worker, shard) mailbox at
+//! the end of the cycle, and is delivered by the owner in the next
+//! cycle's first group (wire and credit delays are ≥ 1 cycle, so that
+//! delivery is never late). With one worker every shard is its own,
+//! so no event goes through a mailbox.
 //!
 //! The barrier placement is what makes the shared reads race-free: the
 //! occupancy counters are written only in the first and third groups
@@ -226,11 +230,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sf_graph::Graph;
 use sf_routing::tables::UNREACHABLE;
-use sf_routing::{QueueView, RouteCtx, RouteDecision, Router, RoutingTables};
+use sf_routing::{QueueView, RouteCtx, RouteDecision, Router, RoutingTables, MAX_PATH_HOPS};
 use sf_topo::Network;
 use sf_traffic::TrafficPattern;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Barrier, Mutex};
 
 /// `in_route` sentinel: the slot's in-flight packet was administratively
@@ -282,13 +286,12 @@ pub struct SimConfig {
     pub packet_size: usize,
     /// RNG seed (simulations are deterministic given the seed).
     pub seed: u64,
-    /// Worker threads driving this simulation's shards (clamped to the
-    /// shard count; `0` is treated as 1). **Results are independent of
-    /// this knob** — see the determinism contract in the module docs:
-    /// `1` (the default) runs the shards sequentially on the calling
-    /// thread with zero synchronization, `N > 1` distributes them over
-    /// `N` scoped threads with per-phase barriers. Sweep drivers
-    /// multiply this by their own job-level workers, so keep
+    /// Workers driving this simulation's shards (clamped to the shard
+    /// count; `0` is treated as 1). **Results are independent of this
+    /// knob** — see the determinism contract in the module docs. Worker
+    /// 0 is the calling thread, so `1` (the default) runs every shard
+    /// there and spawns nothing; `N > 1` adds `N − 1` scoped threads.
+    /// Sweep drivers multiply this by their own job-level workers, so keep
     /// `scheduler workers × threads ≤ available_parallelism` (the
     /// `Scheduler` default clamp does this automatically).
     pub threads: usize,
@@ -655,7 +658,7 @@ struct Flit {
     /// Router path for source-routed algorithms; for per-hop adaptive
     /// routing `path_len == 0` and `path[0]` holds the destination
     /// router.
-    path: [u32; 10],
+    path: [u32; MAX_PATH_HOPS + 1],
     path_len: u8,
     /// Index of the router the flit currently occupies (or is flying
     /// toward) within `path`; doubles as the hop counter for adaptive.
@@ -931,79 +934,39 @@ struct Mail {
     credit: Vec<(usize, u32, u8)>,
 }
 
-/// Where a phase deposits the events it produces. The two impls are
-/// the whole difference between the sequential and the parallel
-/// drivers: [`DirectSink`] pushes straight into the destination
-/// shard's buckets (single thread, no indirection), [`OutboxSink`]
-/// keeps foreign-shard events in per-destination outboxes for the
-/// end-of-cycle mailbox flush.
-trait EventSink {
-    /// A flit leaving on link `l`, due in bucket `due`.
-    fn flit(&mut self, due: usize, l: u32, f: Flit, vc: u8);
-    /// A credit returning on link `l`, due in bucket `due`.
-    fn credit(&mut self, due: usize, l: u32, vc: u8);
-}
-
-/// Sequential-path sink: all shards' buckets are at hand, events land
-/// directly where their owner will drain them.
-struct DirectSink<'d> {
+/// Where a phase deposits the events it produces, on behalf of one
+/// worker. An event bound for a shard the worker owns goes straight
+/// into that shard's buckets; any other event waits in the
+/// per-destination outbox for the end-of-cycle mailbox flush. With one
+/// worker every shard is its own, so no event goes through a mailbox.
+struct EventSink<'d> {
     plan: &'d ShardPlan,
-    buckets: &'d mut [ShardBuckets],
-}
-
-impl EventSink for DirectSink<'_> {
-    #[inline]
-    fn flit(&mut self, due: usize, l: u32, f: Flit, vc: u8) {
-        let d = self.plan.flit_dest[l as usize] as usize;
-        self.buckets[d].flit[due].push((l, f, vc));
-    }
-
-    #[inline]
-    fn credit(&mut self, due: usize, l: u32, vc: u8) {
-        let d = self.plan.link_shard[l as usize] as usize;
-        self.buckets[d].credit[due].push((l, vc));
-    }
-}
-
-/// Parallel-path sink for one shard: own-shard events go straight into
-/// the shard's buckets, foreign-shard events into the per-destination
-/// outbox (flushed to mailboxes at the cycle's end).
-struct OutboxSink<'d> {
-    plan: &'d ShardPlan,
-    shard: usize,
-    own: &'d mut ShardBuckets,
+    /// First shard the worker owns: `own[i]` is shard `s_lo + i`.
+    s_lo: usize,
+    own: &'d mut [ShardBuckets],
     out: &'d mut [Mail],
 }
 
-impl EventSink for OutboxSink<'_> {
+impl EventSink<'_> {
+    /// A flit leaving on link `l`, due in bucket `due`.
     #[inline]
     fn flit(&mut self, due: usize, l: u32, f: Flit, vc: u8) {
         let d = self.plan.flit_dest[l as usize] as usize;
-        if d == self.shard {
-            self.own.flit[due].push((l, f, vc));
-        } else {
-            self.out[d].flit.push((due, l, f, vc));
+        // `wrapping_sub` sends shards below `s_lo` out of range too.
+        match self.own.get_mut(d.wrapping_sub(self.s_lo)) {
+            Some(bk) => bk.flit[due].push((l, f, vc)),
+            None => self.out[d].flit.push((due, l, f, vc)),
         }
     }
 
+    /// A credit returning on link `l`, due in bucket `due`.
     #[inline]
     fn credit(&mut self, due: usize, l: u32, vc: u8) {
         let d = self.plan.link_shard[l as usize] as usize;
-        if d == self.shard {
-            self.own.credit[due].push((l, vc));
-        } else {
-            self.out[d].credit.push((due, l, vc));
+        match self.own.get_mut(d.wrapping_sub(self.s_lo)) {
+            Some(bk) => bk.credit[due].push((l, vc)),
+            None => self.out[d].credit.push((due, l, vc)),
         }
-    }
-}
-
-/// Moves a mailbox's contents into the owner's buckets.
-fn drain_mail(m: &mut Mail, bk: &mut ShardBuckets) {
-    for (due, l, f, vc) in m.flit.drain(..) {
-        bk.flit[due].push((l, f, vc));
-    }
-    for (due, l, vc) in m.credit.drain(..) {
-        bk.credit[due].push((l, vc));
     }
 }
 
@@ -1029,20 +992,14 @@ macro_rules! carve {
     }};
 }
 
-/// A single simulation instance.
+/// What the phases read but no shard owns: the borrowed network,
+/// routing and traffic state, the run constants, the index spaces and
+/// the shared atomic state. [`Simulator`] holds one, and every worker
+/// of a step borrows it.
 ///
-/// The engine owns router micro-architecture (buffers, credits,
-/// allocation, VCs) but **no routing policy**: every path decision is
-/// delegated to the [`Router`] trait object, which sees live queue
-/// state only through the narrow [`QueueView`] window.
-///
-/// All mutable state is laid out flat (see the module docs): per-link
-/// arrays in CSR order, per-(port, VC) input queues in one flat vector,
-/// and persistent per-shard scratch for the per-cycle allocator working
-/// set. The flat arrays split into contiguous per-shard slices for the
-/// step drivers ([`SimConfig::threads`]); between steps they read as
-/// plain global arrays, which is what the `verify_*` checkers use.
-pub struct Simulator<'a> {
+/// The atomic members (`occ` and the bitmasks) are globally readable;
+/// writes are disjoint by the shard-ownership rules in the module docs.
+struct StepCtx<'a> {
     net: &'a Network,
     tables: &'a RoutingTables,
     router: &'a dyn Router,
@@ -1054,56 +1011,90 @@ pub struct Simulator<'a> {
     route_graph: &'a Graph,
     cfg: SimConfig,
     load: f64,
-
     vc_cap: usize,
+    /// First cycle of the current measurement window (warm-up ends
+    /// here). Instance state, not derived from `cfg`, so a warm-start
+    /// chain can re-arm a fresh window mid-run ([`Simulator::rearm`]).
+    win_start: u32,
+    /// One past the last cycle of the current measurement window.
+    win_end: u32,
     links: LinkIndex,
     /// Shard layout: contiguous router/endpoint/port/link ranges (a
     /// function of the topology only — see the determinism contract).
     plan: ShardPlan,
-
-    // ---- per-link state, indexed by flat link id (× VC where noted) ----
-    /// Credits per (link, VC): available downstream buffer slots.
-    credits: Vec<u32>,
-    /// Output staging queue per link (absorbs crossbar speedup).
-    staging: Vec<VecDeque<(Flit, u8)>>,
-    /// Bitmask over links: bit set ⇔ staging queue non-empty, so
-    /// transmission visits exactly the staged links in link-id order.
-    /// Atomic words because shard boundaries straddle them; every bit
-    /// still has exactly one writer shard.
-    staged_mask: Vec<AtomicU64>,
-    /// Incremental occupancy counter per link (see the module docs).
-    /// Atomic because routing policies read any link's counter at
-    /// injection time while only the owner shard ever writes it, in
-    /// phase groups where no one reads cross-shard.
-    occ: Vec<AtomicU32>,
-    /// Flits sent per link during the measurement window.
-    link_flits: Vec<u64>,
+    /// First flat input-port index per router; network ports first,
+    /// then injection ports.
+    port_base: Vec<u32>,
+    ep_router: Vec<u32>,
+    /// Flat `in_buf` slot (VC 0) of each endpoint's injection port.
+    ep_inj_slot: Vec<u32>,
     /// Per-link dead flag after [`Simulator::apply_fault`]; **empty**
     /// on a fault-free run, so every fault guard in the hot path is one
     /// `is_empty()` test and the fault machinery costs nothing when
     /// unused (pinned by the zero-fault parity tests).
     link_dead: Vec<bool>,
-
-    // ---- time-bucketed in-flight events ----
+    /// Incremental occupancy counter per link (see the module docs).
+    /// Atomic because routing policies read any link's counter at
+    /// injection time while only the owner shard ever writes it, in
+    /// phase groups where no one reads cross-shard.
+    occ: Vec<AtomicU32>,
+    /// Bitmask over `in_buf` slots: bit set ⇔ queue non-empty. Lets
+    /// ejection/allocation visit only occupied queues, in scan order.
+    buf_mask: Vec<AtomicU64>,
+    /// Bitmask over endpoints: bit set ⇔ the endpoint has injection
+    /// work — a queued packet or a partially injected one — so
+    /// injection visits exactly those endpoints in ascending order.
+    src_mask: Vec<AtomicU64>,
+    /// Bitmask over links: bit set ⇔ staging queue non-empty, so
+    /// transmission visits exactly the staged links in link-id order.
+    /// Atomic words because shard boundaries straddle them; every bit
+    /// still has exactly one writer shard.
+    staged_mask: Vec<AtomicU64>,
+    /// Lemire magic for dividing flat input-slot ids by `num_vcs`.
+    nvc_magic: u64,
     /// Effective flit delay (`router_delay + channel_latency`, min 1 —
     /// a zero-delay flit still arrives the next cycle because
     /// transmission runs after arrivals).
     flit_eff: u32,
     /// Effective credit delay (`credit_delay`, min 1).
     credit_eff: u32,
+}
+
+/// A single simulation instance.
+///
+/// The engine owns router micro-architecture (buffers, credits,
+/// allocation, VCs) but **no routing policy**: every path decision is
+/// delegated to the [`Router`] trait object, which sees live queue
+/// state only through the narrow [`QueueView`] window.
+///
+/// All mutable state is laid out flat (see the module docs): per-link
+/// arrays in CSR order, per-(port, VC) input queues in one flat vector,
+/// and persistent per-shard scratch for the per-cycle allocator working
+/// set. What the phases only read (configuration, index spaces, the
+/// shared atomic counters and masks) sits in one step context. For
+/// each step the other arrays split into contiguous per-shard slices,
+/// which the workers ([`SimConfig::threads`]) run; between steps they
+/// read as plain global arrays, which is what the `verify_*` checkers
+/// use.
+pub struct Simulator<'a> {
+    ctx: StepCtx<'a>,
+
+    // ---- per-link state, indexed by flat link id (× VC where noted) ----
+    /// Credits per (link, VC): available downstream buffer slots.
+    credits: Vec<u32>,
+    /// Output staging queue per link (absorbs crossbar speedup).
+    staging: Vec<VecDeque<(Flit, u8)>>,
+    /// Flits sent per link during the measurement window.
+    link_flits: Vec<u64>,
+
+    // ---- time-bucketed in-flight events ----
     /// Per-shard rotating delay buckets (owned by the shard that will
     /// process the events — see [`ShardBuckets`]).
     buckets: Vec<ShardBuckets>,
 
     // ---- per-port state ----
-    /// First flat input-port index per router; network ports first,
-    /// then injection ports.
-    port_base: Vec<u32>,
     /// Input buffers, indexed `flat_port * num_vcs + vc`.
     in_buf: Vec<VecDeque<Flit>>,
-    /// Bitmask over `in_buf` slots: bit set ⇔ queue non-empty. Lets
-    /// ejection/allocation visit only occupied queues, in scan order.
-    buf_mask: Vec<AtomicU64>,
 
     // ---- wormhole per-VC allocation tables ----
     /// Per input-buffer slot: the output `(link × num_vcs + vc)` the
@@ -1121,17 +1112,10 @@ pub struct Simulator<'a> {
 
     // ---- endpoint state ----
     src_q: Vec<VecDeque<(u32, u32)>>, // per endpoint: (gen_time, dst)
-    /// Bitmask over endpoints: bit set ⇔ the endpoint has injection
-    /// work — a queued packet or a partially injected one — so
-    /// injection visits exactly those endpoints in ascending order.
-    src_mask: Vec<AtomicU64>,
     /// Per endpoint: the next body/tail flit of a partially injected
     /// packet (endpoints inject one flit per cycle; the head's routing
     /// decision is reused by the followers).
     inj_progress: Vec<Option<Flit>>,
-    ep_router: Vec<u32>,
-    /// Flat `in_buf` slot (VC 0) of each endpoint's injection port.
-    ep_inj_slot: Vec<u32>,
 
     // ---- active-set counters ----
     /// Packets buffered in the router's input queues (ejection and
@@ -1141,8 +1125,6 @@ pub struct Simulator<'a> {
     // ---- persistent per-cycle scratch (hoisted allocations) ----
     /// One scratch set per shard, so phases run shard-parallel.
     scratch: Vec<Scratch>,
-    /// Lemire magic for dividing flat input-slot ids by `num_vcs`.
-    nvc_magic: u64,
     /// Generation-stamped "endpoint ejected this cycle" set: the
     /// endpoint received a flit in cycle `now` iff stamp == now + 1.
     ejected_seen: Vec<u32>,
@@ -1152,13 +1134,6 @@ pub struct Simulator<'a> {
     /// One measurement accumulator per shard (merged in shard order).
     meters: Vec<Meters>,
     now: u32,
-
-    /// First cycle of the current measurement window (warm-up ends
-    /// here). Instance state, not derived from `cfg`, so a warm-start
-    /// chain can re-arm a fresh window mid-run ([`Simulator::rearm`]).
-    win_start: u32,
-    /// One past the last cycle of the current measurement window.
-    win_end: u32,
 }
 
 impl<'a> Simulator<'a> {
@@ -1226,44 +1201,44 @@ impl<'a> Simulator<'a> {
         let s_count = plan.len();
         let flit_eff = (cfg.router_delay + cfg.channel_latency).max(1);
         let credit_eff = cfg.credit_delay.max(1);
+        let atomic_mask = |bits: usize| (0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         Simulator {
-            net,
-            tables,
-            router,
-            pattern,
-            route_graph: &net.graph,
-            cfg,
-            load,
-            vc_cap,
-            links,
-            plan,
+            ctx: StepCtx {
+                net,
+                tables,
+                router,
+                pattern,
+                route_graph: &net.graph,
+                cfg,
+                load,
+                vc_cap,
+                win_start: cfg.warmup,
+                win_end: cfg.warmup + cfg.measure,
+                links,
+                plan,
+                port_base,
+                ep_router,
+                ep_inj_slot,
+                link_dead: Vec::new(),
+                occ: (0..nlinks).map(|_| AtomicU32::new(0)).collect(),
+                buf_mask: atomic_mask(nslots),
+                src_mask: atomic_mask(net.num_endpoints()),
+                staged_mask: atomic_mask(nlinks),
+                nvc_magic: (u64::MAX / nvc as u64).wrapping_add(1),
+                flit_eff,
+                credit_eff,
+            },
             credits: vec![vc_cap as u32; nlinks * nvc],
             staging: (0..nlinks).map(|_| VecDeque::new()).collect(),
-            staged_mask: (0..nlinks.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            occ: (0..nlinks).map(|_| AtomicU32::new(0)).collect(),
             link_flits: vec![0; nlinks],
-            link_dead: Vec::new(),
-            flit_eff,
-            credit_eff,
             buckets: (0..s_count)
                 .map(|_| ShardBuckets::new(flit_eff, credit_eff))
                 .collect(),
-            port_base,
             in_buf: (0..nslots).map(|_| VecDeque::new()).collect(),
-            buf_mask: (0..nslots.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
             in_route: vec![u32::MAX; nslots],
             out_owner: vec![u32::MAX; nlinks * nvc],
             src_q: vec![VecDeque::new(); net.num_endpoints()],
-            src_mask: (0..net.num_endpoints().div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
             inj_progress: vec![None; net.num_endpoints()],
-            ep_router,
-            ep_inj_slot,
             r_buffered: vec![0; nr],
             scratch: (0..s_count)
                 .map(|_| Scratch {
@@ -1273,15 +1248,12 @@ impl<'a> Simulator<'a> {
                     eps: Vec::new(),
                 })
                 .collect(),
-            nvc_magic: (u64::MAX / nvc as u64).wrapping_add(1),
             ejected_seen: vec![0; net.num_endpoints()],
             rngs: (0..s_count)
                 .map(|s| StdRng::seed_from_u64(shard_seed(cfg.seed, s)))
                 .collect(),
             meters: (0..s_count).map(|_| Meters::new()).collect(),
             now: 0,
-            win_start: cfg.warmup,
-            win_end: cfg.warmup + cfg.measure,
         }
     }
 
@@ -1289,7 +1261,7 @@ impl<'a> Simulator<'a> {
     /// of the topology only (`min(ENGINE_SHARDS, routers)`), never of
     /// [`SimConfig::threads`] or the machine.
     pub fn num_shards(&self) -> usize {
-        self.plan.len()
+        self.ctx.plan.len()
     }
 
     /// Kills links mid-run and swaps in routing state re-derived on the
@@ -1314,52 +1286,20 @@ impl<'a> Simulator<'a> {
         if dead_links.is_empty() {
             return;
         }
-        assert_eq!(tables.num_routers(), self.net.num_routers());
-        if self.link_dead.is_empty() {
-            self.link_dead = vec![false; self.occ.len()];
+        let ctx = &mut self.ctx;
+        assert_eq!(tables.num_routers(), ctx.net.num_routers());
+        if ctx.link_dead.is_empty() {
+            ctx.link_dead = vec![false; ctx.occ.len()];
         }
         for &(u, v) in dead_links {
-            let l = self.links.link(u, v) as usize;
-            self.link_dead[l] = true;
-            self.link_dead[self.links.rev[l] as usize] = true;
+            let l = ctx.links.link(u, v) as usize;
+            ctx.link_dead[l] = true;
+            ctx.link_dead[ctx.links.rev[l] as usize] = true;
         }
-        self.route_graph = graph;
-        self.tables = tables;
-        self.router = router;
+        ctx.route_graph = graph;
+        ctx.tables = tables;
+        ctx.router = router;
     }
-}
-
-/// The immutable (or shard-safely shared) step context: everything a
-/// phase needs beyond its own shard's mutable state. `Copy`, so the
-/// sequential driver and every worker thread hold the same value.
-///
-/// The atomic members (`occ` and the bitmasks) are globally readable;
-/// writes are disjoint by the shard-ownership rules in the module docs.
-#[derive(Clone, Copy)]
-struct StepCtx<'c> {
-    net: &'c Network,
-    tables: &'c RoutingTables,
-    router: &'c dyn Router,
-    pattern: &'c TrafficPattern,
-    route_graph: &'c Graph,
-    cfg: SimConfig,
-    load: f64,
-    vc_cap: usize,
-    links: &'c LinkIndex,
-    plan: &'c ShardPlan,
-    port_base: &'c [u32],
-    ep_router: &'c [u32],
-    ep_inj_slot: &'c [u32],
-    link_dead: &'c [bool],
-    occ: &'c [AtomicU32],
-    buf_mask: &'c [AtomicU64],
-    src_mask: &'c [AtomicU64],
-    staged_mask: &'c [AtomicU64],
-    nvc_magic: u64,
-    flit_eff: u32,
-    credit_eff: u32,
-    win_start: u32,
-    win_end: u32,
 }
 
 impl StepCtx<'_> {
@@ -1385,10 +1325,10 @@ impl StepCtx<'_> {
         dst_r: u32,
         flow: u64,
         now: u32,
-    ) -> ([u32; 10], u8) {
+    ) -> ([u32; MAX_PATH_HOPS + 1], u8) {
         let queues = EngineQueues {
-            links: self.links,
-            occ: self.occ,
+            links: &self.links,
+            occ: &self.occ,
         };
         let ctx = RouteCtx {
             graph: self.route_graph,
@@ -1401,14 +1341,17 @@ impl StepCtx<'_> {
         };
         match self.router.route(&ctx, rng) {
             RouteDecision::Path(v) => {
-                assert!(v.len() <= 10, "path longer than the Flit array: {v:?}");
-                let mut a = [0u32; 10];
+                assert!(
+                    v.len() <= MAX_PATH_HOPS + 1,
+                    "path longer than MAX_PATH_HOPS: {v:?}"
+                );
+                let mut a = [0u32; MAX_PATH_HOPS + 1];
                 a[..v.len()].copy_from_slice(&v);
                 (a, v.len() as u8)
             }
             RouteDecision::PerHop => {
                 // Per-hop routing: packet only carries the destination.
-                let mut a = [0u32; 10];
+                let mut a = [0u32; MAX_PATH_HOPS + 1];
                 a[0] = dst_r;
                 (a, 0)
             }
@@ -1424,8 +1367,8 @@ impl StepCtx<'_> {
             p.path[p.hop as usize + 1]
         } else {
             let queues = AllocQueues {
-                links: self.links,
-                occ: self.occ,
+                links: &self.links,
+                occ: &self.occ,
                 decider: r,
             };
             let ctx = RouteCtx {
@@ -1483,7 +1426,7 @@ impl ShardView<'_> {
     #[inline]
     fn buf_push(&mut self, ctx: &StepCtx, r: u32, slot: usize, p: Flit) {
         self.in_buf[slot - self.slot_lo].push_back(p);
-        mask_set(ctx.buf_mask, slot);
+        mask_set(&ctx.buf_mask, slot);
         self.r_buffered[(r - self.r_lo) as usize] += 1;
     }
 
@@ -1496,7 +1439,7 @@ impl ShardView<'_> {
             .pop_front()
             .expect("buf_pop is only called on slots the mask marks occupied");
         if q.is_empty() {
-            mask_clear(ctx.buf_mask, slot);
+            mask_clear(&ctx.buf_mask, slot);
         }
         self.r_buffered[(r - self.r_lo) as usize] -= 1;
         p
@@ -1511,7 +1454,7 @@ impl ShardView<'_> {
     fn drop_front(
         &mut self,
         ctx: &StepCtx,
-        sink: &mut impl EventSink,
+        sink: &mut EventSink,
         r: u32,
         slot: usize,
         net_deg: usize,
@@ -1594,7 +1537,7 @@ impl ShardView<'_> {
                         self.m.sample_generated += 1;
                     }
                     self.src_q[(e - self.ep_lo) as usize].push_back((now, d));
-                    mask_set(ctx.src_mask, e as usize);
+                    mask_set(&ctx.src_mask, e as usize);
                 }
             }
         }
@@ -1612,7 +1555,7 @@ impl ShardView<'_> {
         let mut eps = std::mem::take(&mut self.scr.eps);
         eps.clear();
         gather_segment(
-            ctx.src_mask,
+            &ctx.src_mask,
             self.ep_lo as usize,
             self.ep_hi as usize,
             &mut eps,
@@ -1637,7 +1580,7 @@ impl ShardView<'_> {
                 };
                 self.buf_push(ctx, r, slot, f);
                 if self.inj_progress[el].is_none() && self.src_q[el].is_empty() {
-                    mask_clear(ctx.src_mask, e as usize);
+                    mask_clear(&ctx.src_mask, e as usize);
                 }
                 continue;
             }
@@ -1656,12 +1599,12 @@ impl ShardView<'_> {
                     self.m.sample_dropped += 1;
                 }
                 if self.src_q[el].is_empty() {
-                    mask_clear(ctx.src_mask, e as usize);
+                    mask_clear(&ctx.src_mask, e as usize);
                 }
                 continue;
             }
             if self.src_q[el].is_empty() && ctx.cfg.packet_size == 1 {
-                mask_clear(ctx.src_mask, e as usize);
+                mask_clear(&ctx.src_mask, e as usize);
             }
             let (path, path_len) = ctx.choose_path(self.rng, r, dst_r, flow_id(e, dst_ep), now);
             // Spread packets over VC classes: an h-hop path may start at
@@ -1698,7 +1641,7 @@ impl ShardView<'_> {
     }
 
     /// Phase 4 — ejection: one flit per endpoint per cycle. (No RNG.)
-    fn ejection(&mut self, ctx: &StepCtx, sink: &mut impl EventSink, now: u32) {
+    fn ejection(&mut self, ctx: &StepCtx, sink: &mut EventSink, now: u32) {
         let nvc = ctx.cfg.num_vcs;
         let eject_stamp = now + 1;
         let credit_due = ((now + ctx.credit_eff) % (ctx.credit_eff + 1)) as usize;
@@ -1711,7 +1654,7 @@ impl ShardView<'_> {
             let net_deg = ctx.net.graph.degree(r);
             let mut scratch = std::mem::take(&mut self.scr.slots);
             scratch.clear();
-            gather_segment(ctx.buf_mask, lo, hi, &mut scratch);
+            gather_segment(&ctx.buf_mask, lo, hi, &mut scratch);
             for &slot in &scratch {
                 let slot = slot as usize;
                 let eject = matches!(
@@ -1771,7 +1714,7 @@ impl ShardView<'_> {
     /// is reached for exactly the packets a full scan would reach, in
     /// the same order: only non-empty queues are visited, in
     /// round-robin order from the same per-cycle offset.
-    fn allocation(&mut self, ctx: &StepCtx, sink: &mut impl EventSink, now: u32) {
+    fn allocation(&mut self, ctx: &StepCtx, sink: &mut EventSink, now: u32) {
         let nvc = ctx.cfg.num_vcs;
         let credit_due = ((now + ctx.credit_eff) % (ctx.credit_eff + 1)) as usize;
         for r in self.r_lo..self.r_hi {
@@ -1796,8 +1739,8 @@ impl ShardView<'_> {
             let hi = lo + total;
             let mut scratch = std::mem::take(&mut self.scr.slots);
             scratch.clear();
-            gather_segment(ctx.buf_mask, lo + start, hi, &mut scratch);
-            gather_segment(ctx.buf_mask, lo, lo + start, &mut scratch);
+            gather_segment(&ctx.buf_mask, lo + start, hi, &mut scratch);
+            gather_segment(&ctx.buf_mask, lo, lo + start, &mut scratch);
 
             // Internal speedup: the crossbar runs `output_speedup`
             // allocation iterations per cycle; an input may win once per
@@ -1894,7 +1837,7 @@ impl ShardView<'_> {
                     }
                     self.credits[lvl] -= 1;
                     self.staging[ll].push_back((pkt, next_vc as u8));
-                    mask_set(ctx.staged_mask, l);
+                    mask_set(&ctx.staged_mask, l);
                     // One staged flit + one downstream slot consumed.
                     occ_add(&ctx.occ[l], 2);
                     self.scr.out_grants[j] += 1;
@@ -1918,13 +1861,13 @@ impl ShardView<'_> {
     /// staged-link bitmask yields exactly the shard's non-empty staging
     /// queues in ascending link order — the order a full scan over
     /// routers × links would visit them. (No RNG.)
-    fn transmission(&mut self, ctx: &StepCtx, sink: &mut impl EventSink, now: u32) {
+    fn transmission(&mut self, ctx: &StepCtx, sink: &mut EventSink, now: u32) {
         let flit_due = ((now + ctx.flit_eff) % (ctx.flit_eff + 1)) as usize;
         let in_window = now >= ctx.win_start && now < ctx.win_end;
         let mut scratch = std::mem::take(&mut self.scr.slots);
         scratch.clear();
         gather_segment(
-            ctx.staged_mask,
+            &ctx.staged_mask,
             self.link_lo as usize,
             self.link_hi as usize,
             &mut scratch,
@@ -1936,7 +1879,7 @@ impl ShardView<'_> {
                 .pop_front()
                 .expect("staged_mask marks this staging queue non-empty");
             if self.staging[ll].is_empty() {
-                mask_clear(ctx.staged_mask, l);
+                mask_clear(&ctx.staged_mask, l);
             }
             sink.flit(flit_due, l as u32, pkt, vc);
             occ_add(&ctx.occ[l], -1);
@@ -1948,111 +1891,184 @@ impl ShardView<'_> {
     }
 }
 
-impl<'a> Simulator<'a> {
-    /// Effective worker count for the parallel driver: `cfg.threads`
-    /// clamped to `[1, num_shards]` (`0` reads as 1). Results never
-    /// depend on this value — threads only schedule shards.
-    fn effective_threads(&self) -> usize {
-        self.cfg.threads.max(1).min(self.plan.len())
+/// What the workers of one `advance()` call share besides the step
+/// context: the run bounds, the barrier between phase groups, the
+/// mailboxes and the per-shard drain totals behind the early exit.
+struct Rendezvous {
+    /// Stop before this cycle.
+    horizon: u32,
+    /// Take the drain early exit (see [`Simulator::run_phase`]).
+    early: bool,
+    /// Shard range of worker `w`: `w_bounds[w]..w_bounds[w + 1]`.
+    w_bounds: Vec<usize>,
+    /// The phase-group barrier; `None` with one worker, which has
+    /// nobody to wait for.
+    barrier: Option<Barrier>,
+    /// `mail[w][d]`: events worker `w` sent to shard `d` (which another
+    /// worker owns) last cycle, drained by the owner in writer order —
+    /// so delivery order is a function of the shard layout alone.
+    mail: Vec<Vec<Mutex<Mail>>>,
+    /// Per shard: sample packets generated minus those resolved
+    /// (ejected or dropped), published before the cycle's last barrier
+    /// and read after it, so every worker takes the same early-exit
+    /// decision.
+    pending: Vec<AtomicI64>,
+}
+
+impl Rendezvous {
+    /// Waits until every worker has finished the current phase group.
+    fn sync(&self) {
+        if let Some(b) = &self.barrier {
+            b.wait();
+        }
     }
 
-    /// Advances the simulation to `horizon` (at most), dispatching to
-    /// the sequential or the barrier-parallel driver per
-    /// [`SimConfig::threads`]. With `early`, stops at the first cycle ≥
-    /// the measurement-window end where every sample packet has been
-    /// resolved (ejected or administratively dropped) — the drain
-    /// early-exit of [`Simulator::run_phase`]. Both drivers take the
-    /// exit decision on identical totals, at identical cycles.
-    fn advance(&mut self, horizon: u32, early: bool) {
-        let threads = self.effective_threads();
-        let nvc = self.cfg.num_vcs;
-        // Destructure so the shard views (mutable slices) and the step
-        // context (shared refs) borrow disjoint fields.
-        let Simulator {
-            net,
-            tables,
-            router,
-            pattern,
-            route_graph,
-            cfg,
-            load,
-            vc_cap,
-            links,
-            plan,
-            credits,
-            staging,
-            staged_mask,
-            occ,
-            link_flits,
-            link_dead,
-            flit_eff,
-            credit_eff,
-            buckets,
-            port_base,
-            in_buf,
-            buf_mask,
-            in_route,
-            out_owner,
-            src_q,
-            src_mask,
-            inj_progress,
-            ep_router,
-            ep_inj_slot,
-            r_buffered,
-            scratch,
-            nvc_magic,
-            ejected_seen,
-            rngs,
-            meters,
-            now,
-            win_start,
-            win_end,
-        } = self;
-        let ctx = StepCtx {
-            net,
-            tables,
-            router: *router,
-            pattern,
-            route_graph,
-            cfg: *cfg,
-            load: *load,
-            vc_cap: *vc_cap,
-            links: &*links,
-            plan: &*plan,
-            port_base,
-            ep_router,
-            ep_inj_slot,
-            link_dead,
-            occ,
-            buf_mask,
-            src_mask,
-            staged_mask,
-            nvc_magic: *nvc_magic,
-            flit_eff: *flit_eff,
-            credit_eff: *credit_eff,
-            win_start: *win_start,
-            win_end: *win_end,
+    /// Moves the mail other workers sent to worker `w`'s shards into
+    /// their buckets (`buckets[i]` is shard `w_bounds[w] + i`).
+    fn collect_mail(&self, w: usize, buckets: &mut [ShardBuckets]) {
+        let s_lo = self.w_bounds[w];
+        for (i, bk) in buckets.iter_mut().enumerate() {
+            for (src, row) in self.mail.iter().enumerate() {
+                if src == w {
+                    continue;
+                }
+                let mut mb = row[s_lo + i]
+                    .lock()
+                    .expect("mailbox mutex is never poisoned");
+                for (due, l, f, vc) in mb.flit.drain(..) {
+                    bk.flit[due].push((l, f, vc));
+                }
+                for (due, l, vc) in mb.credit.drain(..) {
+                    bk.credit[due].push((l, vc));
+                }
+            }
+        }
+    }
+}
+
+/// Runs worker `w`'s shards — `views[i]` and `buckets[i]` are shard
+/// `rv.w_bounds[w] + i` — from cycle `start` until `rv.horizon` or the
+/// drain early exit, and returns the cycle it stopped at (the same on
+/// every worker). Each cycle is three barrier-separated phase groups;
+/// inside a group the worker runs each phase over all of its shards
+/// before starting the next phase (see the module docs).
+fn run_worker(
+    ctx: &StepCtx,
+    rv: &Rendezvous,
+    w: usize,
+    views: &mut [ShardView],
+    buckets: &mut [ShardBuckets],
+    start: u32,
+) -> u32 {
+    let s_lo = rv.w_bounds[w];
+    let mut outbox: Vec<Mail> = (0..ctx.plan.len()).map(|_| Mail::default()).collect();
+    let mut now = start;
+    while now < rv.horizon {
+        // Group X: deliver last cycle's mail, then arrivals. Wire and
+        // credit delays are ≥ 1 cycle, so next-cycle delivery is never
+        // late.
+        rv.collect_mail(w, buckets);
+        for (v, bk) in views.iter_mut().zip(buckets.iter_mut()) {
+            v.arrivals(ctx, bk, now);
+        }
+        rv.sync();
+        // Group Y: generation, injection, ejection. Injection-time
+        // routing reads foreign `occ` freely — no shard writes `occ`
+        // in this group.
+        for v in views.iter_mut() {
+            v.generation(ctx, now);
+        }
+        for v in views.iter_mut() {
+            v.injection(ctx, now);
+        }
+        let mut sink = EventSink {
+            plan: &ctx.plan,
+            s_lo,
+            own: buckets,
+            out: &mut outbox,
         };
+        for v in views.iter_mut() {
+            v.ejection(ctx, &mut sink, now);
+        }
+        rv.sync();
+        // Group Z: switch allocation + transmission (occ writes are
+        // own-shard only; per-hop policies probe own links only —
+        // enforced by AllocQueues). Then publish the outbox and, near
+        // the window end, the drain totals.
+        for v in views.iter_mut() {
+            v.allocation(ctx, &mut sink, now);
+        }
+        for v in views.iter_mut() {
+            v.transmission(ctx, &mut sink, now);
+        }
+        for (d, ob) in outbox.iter_mut().enumerate() {
+            if ob.flit.is_empty() && ob.credit.is_empty() {
+                continue;
+            }
+            let mut mb = rv.mail[w][d]
+                .lock()
+                .expect("mailbox mutex is never poisoned");
+            mb.flit.append(&mut ob.flit);
+            mb.credit.append(&mut ob.credit);
+        }
+        if rv.early && now + 1 >= ctx.win_end {
+            for (i, v) in views.iter().enumerate() {
+                let done = v.m.sample_ejected + v.m.sample_dropped;
+                rv.pending[s_lo + i].store(v.m.sample_generated as i64 - done as i64, Relaxed);
+            }
+        }
+        rv.sync();
+        now += 1;
+        // Identical inputs on every worker: the same `now` and the same
+        // published totals (their writers passed the same barrier), so
+        // all workers break together or none do.
+        let pending = || rv.pending.iter().map(|p| p.load(Relaxed)).sum::<i64>();
+        if rv.early && now >= ctx.win_end && pending() <= 0 {
+            break;
+        }
+    }
+    // The final cycle's mail has not been delivered yet: deliver it, so
+    // the post-run state is the same for every worker count.
+    rv.collect_mail(w, buckets);
+    now
+}
+
+impl<'a> Simulator<'a> {
+    /// Advances the simulation to `horizon` (at most). With `early`,
+    /// stops at the first cycle ≥ the measurement-window end where
+    /// every sample packet has been resolved (ejected or
+    /// administratively dropped) — the drain early-exit of
+    /// [`Simulator::run_phase`].
+    ///
+    /// The shards are split into contiguous ranges over
+    /// [`SimConfig::threads`] workers (clamped to `[1, num_shards]`).
+    /// Worker 0 is the calling thread and the others are scoped
+    /// spawns, so `threads = 1` spawns nothing. Results never depend
+    /// on the worker count.
+    fn advance(&mut self, horizon: u32, early: bool) {
+        let ctx = &self.ctx;
+        let nvc = ctx.cfg.num_vcs;
+        let s_count = ctx.plan.len();
+        let threads = ctx.cfg.threads.clamp(1, s_count);
 
         // Carve the flat arrays into per-shard exclusive views.
-        let s_count = ctx.plan.len();
         let mut views: Vec<ShardView> = Vec::with_capacity(s_count);
         {
-            let mut credits_s = credits.as_mut_slice();
-            let mut staging_s = staging.as_mut_slice();
-            let mut in_buf_s = in_buf.as_mut_slice();
-            let mut in_route_s = in_route.as_mut_slice();
-            let mut out_owner_s = out_owner.as_mut_slice();
-            let mut src_q_s = src_q.as_mut_slice();
-            let mut inj_s = inj_progress.as_mut_slice();
-            let mut seen_s = ejected_seen.as_mut_slice();
-            let mut rbuf_s = r_buffered.as_mut_slice();
-            let mut lf_s = link_flits.as_mut_slice();
-            let mut rng_s = rngs.as_mut_slice();
-            let mut met_s = meters.as_mut_slice();
-            let mut scr_s = scratch.as_mut_slice();
+            let mut credits_s = self.credits.as_mut_slice();
+            let mut staging_s = self.staging.as_mut_slice();
+            let mut in_buf_s = self.in_buf.as_mut_slice();
+            let mut in_route_s = self.in_route.as_mut_slice();
+            let mut out_owner_s = self.out_owner.as_mut_slice();
+            let mut src_q_s = self.src_q.as_mut_slice();
+            let mut inj_s = self.inj_progress.as_mut_slice();
+            let mut seen_s = self.ejected_seen.as_mut_slice();
+            let mut rbuf_s = self.r_buffered.as_mut_slice();
+            let mut lf_s = self.link_flits.as_mut_slice();
+            let mut rng_s = self.rngs.as_mut_slice();
+            let mut met_s = self.meters.as_mut_slice();
+            let mut scr_s = self.scratch.as_mut_slice();
+            let p = &ctx.plan;
             for s in 0..s_count {
-                let p = ctx.plan;
                 let (r_lo, r_hi) = (p.r_bounds[s], p.r_bounds[s + 1]);
                 let (ep_lo, ep_hi) = (p.ep_bounds[s], p.ep_bounds[s + 1]);
                 let (link_lo, link_hi) = (p.link_bounds[s], p.link_bounds[s + 1]);
@@ -2086,182 +2102,28 @@ impl<'a> Simulator<'a> {
             }
         }
 
-        if threads == 1 {
-            // Sequential driver: phase-major over the shards on the
-            // calling thread. No barriers, no locks, no outboxes —
-            // events go straight into the destination shard's buckets.
-            while *now < horizon {
-                let t = *now;
-                for (s, v) in views.iter_mut().enumerate() {
-                    v.arrivals(&ctx, &mut buckets[s], t);
-                }
-                for v in views.iter_mut() {
-                    v.generation(&ctx, t);
-                }
-                for v in views.iter_mut() {
-                    v.injection(&ctx, t);
-                }
-                for v in views.iter_mut() {
-                    let mut sink = DirectSink {
-                        plan: ctx.plan,
-                        buckets: buckets.as_mut_slice(),
-                    };
-                    v.ejection(&ctx, &mut sink, t);
-                }
-                for v in views.iter_mut() {
-                    let mut sink = DirectSink {
-                        plan: ctx.plan,
-                        buckets: buckets.as_mut_slice(),
-                    };
-                    v.allocation(&ctx, &mut sink, t);
-                }
-                for v in views.iter_mut() {
-                    let mut sink = DirectSink {
-                        plan: ctx.plan,
-                        buckets: buckets.as_mut_slice(),
-                    };
-                    v.transmission(&ctx, &mut sink, t);
-                }
-                *now += 1;
-                if early && *now >= ctx.win_end {
-                    let gen: u64 = views.iter().map(|v| v.m.sample_generated).sum();
-                    let done: u64 = views
-                        .iter()
-                        .map(|v| v.m.sample_ejected + v.m.sample_dropped)
-                        .sum();
-                    if done >= gen {
-                        break;
-                    }
-                }
+        let rv = Rendezvous {
+            horizon,
+            early,
+            w_bounds: (0..=threads).map(|w| w * s_count / threads).collect(),
+            barrier: (threads > 1).then(|| Barrier::new(threads)),
+            mail: (0..threads)
+                .map(|_| (0..s_count).map(|_| Mutex::new(Mail::default())).collect())
+                .collect(),
+            pending: (0..s_count).map(|_| AtomicI64::new(0)).collect(),
+        };
+        let start = self.now;
+        let (views0, mut views_rest) = views.split_at_mut(rv.w_bounds[1]);
+        let (buckets0, mut buckets_rest) = self.buckets.split_at_mut(rv.w_bounds[1]);
+        self.now = std::thread::scope(|sc| {
+            for w in 1..threads {
+                let n = rv.w_bounds[w + 1] - rv.w_bounds[w];
+                let (vs, bs) = (carve!(views_rest, n), carve!(buckets_rest, n));
+                let rv = &rv;
+                sc.spawn(move || run_worker(ctx, rv, w, vs, bs, start));
             }
-            return;
-        }
-
-        // Parallel driver: contiguous shard ranges on scoped worker
-        // threads, three barriers per cycle (see the module docs).
-        // Cross-shard events accumulate in per-thread outboxes, are
-        // published to per-(writer, destination) mailboxes at the end
-        // of the cycle and drained by the owner — in writer order, so
-        // delivery order is a function of the shard layout alone — at
-        // the next cycle's first group.
-        let t_bounds: Vec<usize> = (0..=threads).map(|t| t * s_count / threads).collect();
-        let barrier = Barrier::new(threads);
-        let mail: Vec<Vec<Mutex<Mail>>> = (0..threads)
-            .map(|_| (0..s_count).map(|_| Mutex::new(Mail::default())).collect())
-            .collect();
-        // Per-shard drain totals, published before the cycle's last
-        // barrier and read after it, so every worker snapshots the
-        // same totals and takes the same early-exit decision.
-        let pub_gen: Vec<AtomicU64> = (0..s_count).map(|_| AtomicU64::new(0)).collect();
-        let pub_done: Vec<AtomicU64> = (0..s_count).map(|_| AtomicU64::new(0)).collect();
-        let finished = AtomicU32::new(*now);
-        let start = *now;
-        std::thread::scope(|sc| {
-            let mut views_rest = views.as_mut_slice();
-            let mut buckets_rest = buckets.as_mut_slice();
-            for t in 0..threads {
-                let n = t_bounds[t + 1] - t_bounds[t];
-                let vchunk = carve!(views_rest, n);
-                let bchunk = carve!(buckets_rest, n);
-                let s_lo = t_bounds[t];
-                let (barrier, mail) = (&barrier, &mail);
-                let (pub_gen, pub_done, finished) = (&pub_gen, &pub_done, &finished);
-                sc.spawn(move || {
-                    let mut outb: Vec<Mail> = (0..s_count).map(|_| Mail::default()).collect();
-                    let mut t_now = start;
-                    while t_now < horizon {
-                        // Group X: deliver last cycle's cross-shard
-                        // events into the owner's buckets, then run
-                        // arrivals. Wire and credit delays are ≥ 1
-                        // cycle, so next-cycle delivery is never late.
-                        for (i, v) in vchunk.iter_mut().enumerate() {
-                            for row in mail.iter() {
-                                let mut mb = row[s_lo + i]
-                                    .lock()
-                                    .expect("mailbox mutex is never poisoned");
-                                drain_mail(&mut mb, &mut bchunk[i]);
-                            }
-                            v.arrivals(&ctx, &mut bchunk[i], t_now);
-                        }
-                        barrier.wait();
-                        // Group Y: generation, injection, ejection.
-                        // Injection-time routing reads foreign `occ`
-                        // freely — no shard writes `occ` in this group.
-                        for (i, v) in vchunk.iter_mut().enumerate() {
-                            v.generation(&ctx, t_now);
-                            v.injection(&ctx, t_now);
-                            let mut sink = OutboxSink {
-                                plan: ctx.plan,
-                                shard: s_lo + i,
-                                own: &mut bchunk[i],
-                                out: &mut outb,
-                            };
-                            v.ejection(&ctx, &mut sink, t_now);
-                        }
-                        barrier.wait();
-                        // Group Z: switch allocation + transmission
-                        // (occ writes are own-shard only; per-hop
-                        // policies probe own links only — enforced by
-                        // AllocQueues). Then publish the outboxes and,
-                        // near the window end, the drain totals.
-                        for (i, v) in vchunk.iter_mut().enumerate() {
-                            let mut sink = OutboxSink {
-                                plan: ctx.plan,
-                                shard: s_lo + i,
-                                own: &mut bchunk[i],
-                                out: &mut outb,
-                            };
-                            v.allocation(&ctx, &mut sink, t_now);
-                            v.transmission(&ctx, &mut sink, t_now);
-                        }
-                        for (d, ob) in outb.iter_mut().enumerate() {
-                            if ob.flit.is_empty() && ob.credit.is_empty() {
-                                continue;
-                            }
-                            let mut mb =
-                                mail[t][d].lock().expect("mailbox mutex is never poisoned");
-                            mb.flit.append(&mut ob.flit);
-                            mb.credit.append(&mut ob.credit);
-                        }
-                        if early && t_now + 1 >= ctx.win_end {
-                            for (i, v) in vchunk.iter().enumerate() {
-                                pub_gen[s_lo + i].store(v.m.sample_generated, Relaxed);
-                                pub_done[s_lo + i]
-                                    .store(v.m.sample_ejected + v.m.sample_dropped, Relaxed);
-                            }
-                        }
-                        barrier.wait();
-                        t_now += 1;
-                        // Identical inputs on every worker: the same
-                        // t_now and the same published totals (their
-                        // writers passed the same barrier), so all
-                        // workers break together or none do.
-                        if early && t_now >= ctx.win_end {
-                            let gen: u64 = pub_gen.iter().map(|a| a.load(Relaxed)).sum();
-                            let done: u64 = pub_done.iter().map(|a| a.load(Relaxed)).sum();
-                            if done >= gen {
-                                break;
-                            }
-                        }
-                    }
-                    // The final cycle's cross-shard events are still in
-                    // the mailboxes: deliver them, so post-run state is
-                    // identical to the sequential driver's.
-                    for (i, bk) in bchunk.iter_mut().enumerate() {
-                        for row in mail.iter() {
-                            let mut mb = row[s_lo + i]
-                                .lock()
-                                .expect("mailbox mutex is never poisoned");
-                            drain_mail(&mut mb, bk);
-                        }
-                    }
-                    if t == 0 {
-                        finished.store(t_now, Relaxed);
-                    }
-                });
-            }
+            run_worker(ctx, &rv, 0, views0, buckets0, start)
         });
-        *now = finished.load(Relaxed);
     }
 
     /// Advances the simulation by one cycle.
@@ -2274,9 +2136,9 @@ impl<'a> Simulator<'a> {
         self.advance(h, false);
     }
 
-    /// Advances the simulation by `n` cycles in one driver dispatch —
-    /// under `threads > 1` the worker threads and barriers are set up
-    /// once for the whole batch, not per cycle.
+    /// Advances the simulation by `n` cycles in one `advance()` call:
+    /// the shard views, mailboxes and (with `threads > 1`) worker
+    /// threads are set up once for the whole batch, not per cycle.
     pub fn step_n(&mut self, n: u32) {
         let h = self.now.saturating_add(n);
         self.advance(h, false);
@@ -2296,25 +2158,25 @@ impl<'a> Simulator<'a> {
     /// an error. O(state); intended for tests (property-tested after
     /// random step sequences), not for the hot loop.
     pub fn verify_occupancy_counters(&self) -> Result<(), String> {
-        let nvc = self.cfg.num_vcs;
-        let nlinks = self.occ.len();
+        let nvc = self.ctx.cfg.num_vcs;
+        let nlinks = self.ctx.occ.len();
         for l in 0..nlinks {
             let used: u32 = (0..nvc)
-                .map(|vc| self.vc_cap as u32 - self.credits[l * nvc + vc])
+                .map(|vc| self.ctx.vc_cap as u32 - self.credits[l * nvc + vc])
                 .sum();
             let expect = self.staging[l].len() as u32 + used;
-            if self.occ[l].load(Relaxed) != expect {
+            if self.ctx.occ[l].load(Relaxed) != expect {
                 return Err(format!(
                     "link {l}: occ counter {} != recomputed {expect} \
                      (staging {}, credits in use {used})",
-                    self.occ[l].load(Relaxed),
+                    self.ctx.occ[l].load(Relaxed),
                     self.staging[l].len()
                 ));
             }
         }
-        for r in 0..self.net.num_routers() {
-            let lo = self.port_base[r] as usize * nvc;
-            let hi = self.port_base[r + 1] as usize * nvc;
+        for r in 0..self.ctx.net.num_routers() {
+            let lo = self.ctx.port_base[r] as usize * nvc;
+            let hi = self.ctx.port_base[r + 1] as usize * nvc;
             let buffered: u32 = (lo..hi).map(|s| self.in_buf[s].len() as u32).sum();
             if self.r_buffered[r] != buffered {
                 return Err(format!(
@@ -2323,7 +2185,7 @@ impl<'a> Simulator<'a> {
                 ));
             }
             for slot in lo..hi {
-                let bit = mask_get(&self.buf_mask, slot);
+                let bit = mask_get(&self.ctx.buf_mask, slot);
                 if bit == self.in_buf[slot].is_empty() {
                     return Err(format!(
                         "slot {slot}: mask bit {bit} but queue len {}",
@@ -2333,7 +2195,7 @@ impl<'a> Simulator<'a> {
             }
         }
         for l in 0..nlinks {
-            let bit = mask_get(&self.staged_mask, l);
+            let bit = mask_get(&self.ctx.staged_mask, l);
             if bit == self.staging[l].is_empty() {
                 return Err(format!(
                     "link {l}: staged-mask bit {bit} but staging len {}",
@@ -2342,7 +2204,7 @@ impl<'a> Simulator<'a> {
             }
         }
         for (e, q) in self.src_q.iter().enumerate() {
-            let bit = mask_get(&self.src_mask, e);
+            let bit = mask_get(&self.ctx.src_mask, e);
             let has_work = !q.is_empty() || self.inj_progress[e].is_some();
             if bit != has_work {
                 return Err(format!(
@@ -2373,8 +2235,8 @@ impl<'a> Simulator<'a> {
     /// tests (property-tested after random step batches across routings
     /// × packet sizes), not for the hot loop.
     pub fn verify_credit_round_trip(&self) -> Result<(), String> {
-        let nvc = self.cfg.num_vcs;
-        let nlinks = self.occ.len();
+        let nvc = self.ctx.cfg.num_vcs;
+        let nlinks = self.ctx.occ.len();
         // Flits on the wire / credits in flight, tallied per (link, VC)
         // across every shard's delay buckets.
         let mut wire = vec![0u32; nlinks * nvc];
@@ -2392,8 +2254,8 @@ impl<'a> Simulator<'a> {
             }
         }
         for l in 0..nlinks {
-            let to = self.links.to[l] as usize;
-            let fp = (self.port_base[to] + self.links.to_port[l]) as usize;
+            let to = self.ctx.links.to[l] as usize;
+            let fp = (self.ctx.port_base[to] + self.ctx.links.to_port[l]) as usize;
             for vc in 0..nvc {
                 let lv = l * nvc + vc;
                 let staged = self.staging[l]
@@ -2403,12 +2265,12 @@ impl<'a> Simulator<'a> {
                 let downstream = self.in_buf[fp * nvc + vc].len() as u32;
                 let accounted =
                     self.credits[lv] + staged + wire[lv] + downstream + credit_flight[lv];
-                if accounted != self.vc_cap as u32 {
+                if accounted != self.ctx.vc_cap as u32 {
                     return Err(format!(
                         "link {l} vc {vc}: credit loop leaks — credits {} + staged \
                          {staged} + wire {} + downstream {downstream} + in-flight \
                          credits {} = {accounted}, expected vc_cap {}",
-                        self.credits[lv], wire[lv], credit_flight[lv], self.vc_cap
+                        self.credits[lv], wire[lv], credit_flight[lv], self.ctx.vc_cap
                     ));
                 }
             }
@@ -2418,7 +2280,7 @@ impl<'a> Simulator<'a> {
             if alloc == u32::MAX {
                 continue;
             }
-            if self.cfg.packet_size == 1 {
+            if self.ctx.cfg.packet_size == 1 {
                 return Err(format!(
                     "slot {slot}: allocation {alloc} held at packet_size = 1"
                 ));
@@ -2436,10 +2298,10 @@ impl<'a> Simulator<'a> {
             }
             // The reservation must point at an output link of the
             // router owning the input slot.
-            let fp = slot_port_of(nvc, self.nvc_magic, slot) as u32;
-            let r = self.port_base.partition_point(|&b| b <= fp) - 1;
+            let fp = slot_port_of(nvc, self.ctx.nvc_magic, slot) as u32;
+            let r = self.ctx.port_base.partition_point(|&b| b <= fp) - 1;
             let link = alloc as usize / nvc;
-            if !self.links.links_of(r as u32).contains(&link) {
+            if !self.ctx.links.links_of(r as u32).contains(&link) {
                 return Err(format!(
                     "slot {slot} (router {r}): reservation names foreign link {link}"
                 ));
@@ -2484,11 +2346,12 @@ impl<'a> Simulator<'a> {
         {
             return Err("credits still in flight".into());
         }
-        if let Some(lv) = (0..self.credits.len()).find(|&lv| self.credits[lv] != self.vc_cap as u32)
+        if let Some(lv) =
+            (0..self.credits.len()).find(|&lv| self.credits[lv] != self.ctx.vc_cap as u32)
         {
             return Err(format!(
                 "credit {lv} not home: {} of {}",
-                self.credits[lv], self.vc_cap
+                self.credits[lv], self.ctx.vc_cap
             ));
         }
         if let Some(s) = (0..self.in_route.len()).find(|&s| self.in_route[s] != u32::MAX) {
@@ -2523,12 +2386,12 @@ impl<'a> Simulator<'a> {
     /// opt-in flag.
     pub fn rearm(&mut self, load: f64, seed: u64) {
         assert!((0.0..=1.0).contains(&load));
-        self.load = load;
+        self.ctx.load = load;
         for (s, rng) in self.rngs.iter_mut().enumerate() {
             *rng = StdRng::seed_from_u64(shard_seed(seed, s));
         }
-        self.win_start = self.now + self.cfg.warmup;
-        self.win_end = self.win_start + self.cfg.measure;
+        self.ctx.win_start = self.now + self.ctx.cfg.warmup;
+        self.ctx.win_end = self.ctx.win_start + self.ctx.cfg.measure;
         for m in &mut self.meters {
             *m = Meters::new();
         }
@@ -2542,8 +2405,8 @@ impl<'a> Simulator<'a> {
     /// [`Simulator::run`] on a fresh simulator; after
     /// [`Simulator::rearm`] it measures the re-armed window instead.
     pub fn run_phase(&mut self) -> SimResult {
-        let phase_start = self.win_start - self.cfg.warmup;
-        let horizon = self.win_end + self.cfg.drain;
+        let phase_start = self.ctx.win_start - self.ctx.cfg.warmup;
+        let horizon = self.ctx.win_end + self.ctx.cfg.drain;
         self.advance(horizon, true);
         // Merge the per-shard meters in ascending shard order — integer
         // counters and the latency histogram merge exactly, so the
@@ -2552,11 +2415,11 @@ impl<'a> Simulator<'a> {
         for sm in &self.meters {
             m.absorb(sm);
         }
-        let active = self.pattern.num_active().max(1) as f64;
+        let active = self.ctx.pattern.num_active().max(1) as f64;
         // Administratively dropped sample packets count as resolved:
         // a fault that disconnects traffic must not read as saturation.
         let drained = m.sample_ejected + m.sample_dropped >= m.sample_generated;
-        let mcycles = self.cfg.measure.max(1) as f64;
+        let mcycles = self.ctx.cfg.measure.max(1) as f64;
         let mut max_util = 0.0f64;
         let mut sum_util = 0.0f64;
         for &c in &self.link_flits {
@@ -2566,8 +2429,8 @@ impl<'a> Simulator<'a> {
         }
         let nlinks = self.link_flits.len();
         SimResult {
-            offered_load: self.load,
-            packet_size: self.cfg.packet_size,
+            offered_load: self.ctx.load,
+            packet_size: self.ctx.cfg.packet_size,
             avg_latency: m.stats.mean(),
             p99_latency: m.stats.quantile(0.99).map(|v| v as f64).unwrap_or(f64::NAN),
             avg_head_latency: if m.head_ejected == 0 {
@@ -2575,7 +2438,7 @@ impl<'a> Simulator<'a> {
             } else {
                 m.head_lat_sum as f64 / m.head_ejected as f64
             },
-            accepted: m.window_ejected as f64 / (active * self.cfg.measure as f64),
+            accepted: m.window_ejected as f64 / (active * self.ctx.cfg.measure as f64),
             ejected: m.total_ejected,
             ejected_flits: m.total_ejected_flits,
             saturated: !drained,
@@ -2597,32 +2460,13 @@ impl<'a> Simulator<'a> {
     }
 }
 
-/// Convenience driver: sweep offered loads in parallel.
+/// Load-sweep helpers: the per-load seed every sweep driver uses, and
+/// the warm-start chain. (Cold per-load runs are one
+/// [`Simulator::new`]`(..).run()` each; the job scheduler in `slimfly`
+/// is the parallel sweep driver.)
 pub struct LoadSweep;
 
 impl LoadSweep {
-    /// Runs `loads` simulations in parallel and returns results in input
-    /// order. One `router` instance is shared by all load points
-    /// (hence the `Send + Sync` bound on the [`Router`] trait).
-    pub fn run(
-        net: &Network,
-        tables: &RoutingTables,
-        router: &dyn Router,
-        pattern: &TrafficPattern,
-        loads: &[f64],
-        cfg: SimConfig,
-    ) -> Vec<SimResult> {
-        use rayon::prelude::*;
-        loads
-            .par_iter()
-            .map(|&load| {
-                let mut c = cfg;
-                c.seed = Self::seed_for_load(&cfg, load);
-                Simulator::new(net, tables, router, pattern, load, c).run()
-            })
-            .collect()
-    }
-
     /// Per-load seed used by every sweep driver (cold and warm): the
     /// base seed perturbed by the offered load, so each load point
     /// draws an independent, reproducible stream.
@@ -2631,8 +2475,8 @@ impl LoadSweep {
     }
 
     /// Runs `loads` **sequentially on one warm simulator**: the first
-    /// load starts cold (bit-identical to [`LoadSweep::run`] for that
-    /// point), every later load re-arms the same simulator
+    /// load starts cold (bit-identical to a fresh [`Simulator`] for
+    /// that point), every later load re-arms the same simulator
     /// ([`Simulator::rearm`]), reusing the warmed queue state instead
     /// of re-warming from empty. Results for the later loads are close
     /// to, but not bit-identical with, their cold equivalents — sweep
@@ -2689,6 +2533,26 @@ mod tests {
             seed,
             ..Default::default()
         }
+    }
+
+    /// Cold per-load MIN runs on `small_sf()` under uniform traffic,
+    /// with the sweep drivers' per-load seeds.
+    fn cold_min_sweep(loads: &[f64], cfg: SimConfig) -> Vec<SimResult> {
+        let (net, tables) = small_sf();
+        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
+        let run = |load| {
+            let seed = LoadSweep::seed_for_load(&cfg, load);
+            Simulator::new(
+                &net,
+                &tables,
+                &MinRouter,
+                &pat,
+                load,
+                SimConfig { seed, ..cfg },
+            )
+            .run()
+        };
+        loads.iter().map(|&load| run(load)).collect()
     }
 
     #[test]
@@ -3047,17 +2911,8 @@ mod tests {
     }
 
     #[test]
-    fn load_sweep_parallel_matches_shape() {
-        let (net, tables) = small_sf();
-        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
-        let res = LoadSweep::run(
-            &net,
-            &tables,
-            &MinRouter,
-            &pat,
-            &[0.1, 0.3, 0.5],
-            quick_cfg(10),
-        );
+    fn load_sweep_matches_shape() {
+        let res = cold_min_sweep(&[0.1, 0.3, 0.5], quick_cfg(10));
         assert_eq!(res.len(), 3);
         // Latency is non-decreasing in load (allowing small noise).
         assert!(res[0].avg_latency <= res[2].avg_latency + 2.0);
@@ -3076,7 +2931,7 @@ mod tests {
         // bounded by the layer budget.
         let rmin = Simulator::new(&net, &tables, &MinRouter, &pat, 0.2, quick_cfg(11)).run();
         assert!(r.avg_hops >= rmin.avg_hops);
-        assert!(r.avg_hops <= sf_routing::router::FATPATHS_MAX_LAYER_HOPS as f64);
+        assert!(r.avg_hops <= sf_routing::MAX_PATH_HOPS as f64);
     }
 
     #[test]
@@ -3144,7 +2999,7 @@ mod tests {
         let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
         let loads = [0.1, 0.2, 0.3];
         let cfg = quick_cfg(7);
-        let cold = LoadSweep::run(&net, &tables, &MinRouter, &pat, &loads, cfg);
+        let cold = cold_min_sweep(&loads, cfg);
         let warm = LoadSweep::run_warm(&net, &tables, &MinRouter, &pat, &loads, cfg);
         assert_eq!(warm.len(), 3);
         assert_eq!(cold[0].avg_latency, warm[0].avg_latency);

@@ -302,13 +302,14 @@ proptest! {
         batches in proptest::collection::vec(1usize..40, 1..5),
     ) {
         // Thread-count independence, exercised the hard way: a
-        // sequential engine (threads = 1, the untouched fast path) and
-        // a sharded one advance through identical random step batches,
-        // a mid-run link kill, a rearm, and a full measurement phase —
-        // and must agree exactly at every comparison point. The sharded
-        // engine also passes the conservation verifiers at each batch
-        // boundary, so the occupancy counters and the credit round trip
-        // hold under barrier/outbox delivery, not just sequentially.
+        // one-worker engine (threads = 1: every shard on the calling
+        // thread) and a multi-worker one advance through identical
+        // random step batches, a mid-run link kill, a rearm, and a full
+        // measurement phase — and must agree exactly at every
+        // comparison point. The multi-worker engine also passes the
+        // conservation verifiers at each batch boundary, so the
+        // occupancy counters and the credit round trip hold under
+        // mailbox delivery, not just with one worker.
         use sf_graph::fault::{kill_set, FaultMode};
         let sf = SlimFly::new(5).unwrap();
         let net = sf.network();

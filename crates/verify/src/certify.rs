@@ -6,7 +6,7 @@ use crate::cdg::render_witness;
 use crate::wormhole::{scheme_hop_bound, wormhole_cdg};
 use sf_graph::Graph;
 use sf_routing::tables::UNREACHABLE;
-use sf_routing::{RoutingSpec, RoutingTables};
+use sf_routing::{RoutingSpec, RoutingTables, MAX_PATH_HOPS};
 use std::fmt;
 
 /// Above this router count the full wormhole CDG is not built; the
@@ -55,6 +55,18 @@ pub enum VerifyError {
         /// Why this is statically deadlockable.
         reason: String,
     },
+    /// The scheme can route paths longer than the engine's per-packet
+    /// route holds (`sf_routing::MAX_PATH_HOPS`).
+    PathTooLong {
+        /// Network name.
+        topo: String,
+        /// Routing label.
+        routing: String,
+        /// The scheme hop bound on this network.
+        hops: usize,
+        /// The engine's limit.
+        max: usize,
+    },
     /// The routing scheme itself could not be instantiated (e.g. a
     /// FatPaths layer budget the topology cannot host).
     Scheme {
@@ -96,6 +108,16 @@ impl fmt::Display for VerifyError {
             } => write!(
                 f,
                 "{routing} with {num_vcs} VC(s) is statically deadlockable: {reason}"
+            ),
+            VerifyError::PathTooLong {
+                topo,
+                routing,
+                hops,
+                max,
+            } => write!(
+                f,
+                "{topo} × {routing} routes paths of up to {hops} hops, but the \
+                 engine carries at most {max}"
             ),
             VerifyError::Scheme { routing, reason } => {
                 write!(f, "cannot instantiate {routing} for verification: {reason}")
@@ -197,8 +219,34 @@ impl fmt::Display for ComboCertificate {
     }
 }
 
+/// Rejects `spec` on a network of the given diameter when its scheme
+/// hop bound exceeds the engine's source-route limit,
+/// [`MAX_PATH_HOPS`]. Called by [`verify_combo`] and by the plan
+/// runner before simulating, so verify agrees with the engine. Per-hop
+/// ECMP carries no route, and FatPaths (bound `None` here) enforces the
+/// limit when it builds its layers.
+pub fn check_path_limit(
+    topo: &str,
+    spec: &RoutingSpec,
+    diameter: usize,
+) -> Result<(), VerifyError> {
+    if *spec == RoutingSpec::Ecmp {
+        return Ok(());
+    }
+    match scheme_hop_bound(spec, diameter) {
+        Some(hops) if hops > MAX_PATH_HOPS => Err(VerifyError::PathTooLong {
+            topo: topo.into(),
+            routing: spec.label(),
+            hops,
+            max: MAX_PATH_HOPS,
+        }),
+        _ => Ok(()),
+    }
+}
+
 /// Statically checks one combination: totality over every ordered
-/// router pair, then deadlock freedom via the monotone hop-bound
+/// router pair, the engine's path limit ([`check_path_limit`]), then
+/// deadlock freedom via the monotone hop-bound
 /// argument or the explicit wormhole-aware CDG. Errors only on
 /// *proven* problems; combinations too large to check exhaustively
 /// come back [`DeadlockStatus::Unchecked`].
@@ -241,6 +289,7 @@ pub fn verify_combo(
     }
     let diameter = tables.max_distance() as usize;
     let bound = scheme_hop_bound(spec, diameter);
+    check_path_limit(topo, spec, diameter)?;
 
     // Fast path for large networks: if the scheme hop bound fits the
     // VC budget, no packet ever clamps and VCs strictly increase hop

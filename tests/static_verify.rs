@@ -5,8 +5,9 @@
 //! `sf-bench run` execute before any cycle is simulated.
 
 use slimfly::plan::ExperimentPlan;
+use slimfly::sink::MemorySink;
 use slimfly::verify::{verify_combo, DeadlockStatus, VerifyError};
-use slimfly::SfError;
+use slimfly::{Scheduler, SfError};
 
 #[test]
 fn good_plan_certifies_every_combo() {
@@ -183,4 +184,36 @@ fn deduped_deadlock_reports_the_first_packet_size() {
         })) => assert_eq!((packet_size, num_vcs), (4, 1)),
         other => panic!("expected a deadlock for packet size 4, got {other:?}"),
     }
+}
+
+/// Valiant on a 6-cube routes up to 12 hops — more than the engine's
+/// per-packet route holds. Such a plan validates and expands, but both
+/// `verify()` and a run that skips verify must reject it with a typed
+/// error before any cycle is simulated, instead of certifying it and
+/// reaching the engine's path-length assert.
+#[test]
+fn routes_beyond_the_engine_path_limit_are_rejected() {
+    let plan = ExperimentPlan::from_toml_str(
+        "[figure]\nname = \"verify-long-routes\"\n\
+         [defaults.sim]\nnum_vcs = 13\nwarmup = 20\nmeasure = 40\ndrain = 100\n\
+         [[sweep]]\ntopo = \"hc:d=6\"\nrouting = [\"val\"]\nloads = [0.1]\n",
+    )
+    .unwrap();
+    let too_long = |e: &SfError| {
+        matches!(
+            e,
+            SfError::Verify(VerifyError::PathTooLong { hops: 12, max, .. })
+                if *max == slimfly::routing::MAX_PATH_HOPS
+        )
+    };
+    let mut set = plan.expand().unwrap();
+    let err = set
+        .verify()
+        .expect_err("12-hop routes exceed the path limit");
+    assert!(too_long(&err), "{err}");
+    let mut set = plan.expand().unwrap();
+    let err = Scheduler::new(1)
+        .run(&mut set, &mut MemorySink::new())
+        .expect_err("the run must refuse the job, not panic");
+    assert!(too_long(&err), "{err}");
 }
