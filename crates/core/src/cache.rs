@@ -66,7 +66,7 @@
 //! ```
 
 use crate::error::SfError;
-use crate::experiment::Record;
+use crate::experiment::{Cell, Record};
 use crate::plan::{FaultPlan, Job};
 use crate::spec::TopologySpec;
 use std::fmt::{self, Write as _};
@@ -175,29 +175,15 @@ pub fn job_key_at_epoch(
         let _ = write!(m, " {:016x}", l.to_bits());
     }
     m.push('\n');
-    // Every SimConfig field except `threads`: engine output is
-    // thread-count independent by contract, so `threads` (like
-    // scheduler workers, which never reach this function) must not
-    // split the address space.
-    let s = &job.sim;
-    let _ = writeln!(
-        m,
-        "sim num_vcs={} buf_per_port={} channel_latency={} router_delay={} credit_delay={} \
-         output_speedup={} output_queue_cap={} warmup={} measure={} drain={} packet_size={} \
-         seed={}",
-        s.num_vcs,
-        s.buf_per_port,
-        s.channel_latency,
-        s.router_delay,
-        s.credit_delay,
-        s.output_speedup,
-        s.output_queue_cap,
-        s.warmup,
-        s.measure,
-        s.drain,
-        s.packet_size,
-        s.seed
-    );
+    // Every SimConfig field except `threads`, in field-table order:
+    // engine output is thread-count independent by contract, so
+    // `threads` (like scheduler workers, which never reach this
+    // function) must not split the address space.
+    m.push_str("sim");
+    for f in job.sim.fields().iter().filter(|f| f.key != "threads") {
+        let _ = write!(m, " {}={}", f.key, f.value);
+    }
+    m.push('\n');
     CacheKey::from_material(&m)
 }
 
@@ -272,7 +258,8 @@ impl ResultCache {
     /// never an error: the caller re-simulates and overwrites.
     pub fn lookup(&self, key: &CacheKey) -> Option<Vec<Record>> {
         let text = fs::read_to_string(self.entry_path(key)).ok()?;
-        parse_entry(&text, Some(key))
+        let (header, lines) = checked_payload(&text)?;
+        header.records(lines, &key.to_string())
     }
 
     /// Stores `records` under `key`, atomically (temp file + rename,
@@ -377,181 +364,126 @@ fn render_entry(key: &CacheKey, records: &[Record]) -> String {
     body
 }
 
-/// Strict entry parse. `want`: the expected key (from the caller) —
-/// `None` skips the key cross-check but still validates the header
-/// key's hex shape against the file stem in [`classify_entry`].
-fn parse_entry(text: &str, want: Option<&CacheKey>) -> Option<Vec<Record>> {
-    let without_final_nl = text.strip_suffix('\n')?;
-    let (payload, sum_line) = without_final_nl.rsplit_once('\n')?;
+/// An entry's header line: `sfcache v<version> epoch <epoch> key <key>
+/// records <n>`.
+struct Header<'a> {
+    /// Written at the current format version and engine epoch.
+    current: bool,
+    key: &'a str,
+    /// The `records <n>` count; `None` unless the line ends in exactly
+    /// that (the current layout; older formats may differ past the key).
+    count: Option<usize>,
+}
+
+impl<'a> Header<'a> {
+    /// Parses a header line; `None` unless it starts with the version,
+    /// the epoch and a 32-hex-digit key.
+    fn parse(line: &'a str) -> Option<Header<'a>> {
+        let mut t = line.split(' ');
+        let mut field = |name: &str| if t.next()? == name { t.next() } else { None };
+        let version: u32 = field("sfcache")?.strip_prefix('v')?.parse().ok()?;
+        let epoch: u32 = field("epoch")?.parse().ok()?;
+        let key = field("key")?;
+        if key.len() != 32 || !key.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
+        let count = field("records").and_then(|n| n.parse().ok());
+        Some(Header {
+            current: version == CACHE_FORMAT_VERSION && epoch == sf_sim::ENGINE_EPOCH,
+            key,
+            count: count.filter(|_| t.next().is_none()),
+        })
+    }
+
+    /// The records that follow a current header naming `want`: exactly
+    /// the announced number, all well-formed.
+    fn records(&self, lines: std::str::Lines<'_>, want: &str) -> Option<Vec<Record>> {
+        if !self.current || self.key != want {
+            return None;
+        }
+        let records = lines.map(decode_record).collect::<Option<Vec<_>>>()?;
+        (self.count? == records.len()).then_some(records)
+    }
+}
+
+/// Splits an entry into its header and record lines, provided the
+/// trailer checksum matches; `None` for a torn or damaged file.
+fn checked_payload(text: &str) -> Option<(Header<'_>, std::str::Lines<'_>)> {
+    let (payload, sum_line) = text.strip_suffix('\n')?.rsplit_once('\n')?;
     let sum = u64::from_str_radix(sum_line.strip_prefix("sum ")?, 16).ok()?;
-    // The checksum covers the payload *including* its trailing
-    // newline (everything before the `sum` line).
-    let mut h = fnv1a(FNV_OFFSET, payload.as_bytes());
-    h ^= b'\n' as u64;
-    h = h.wrapping_mul(FNV_PRIME);
-    if h != sum {
+    // The checksum covers everything before the `sum` line, including
+    // the payload's trailing newline.
+    if fnv1a(FNV_OFFSET, &text.as_bytes()[..=payload.len()]) != sum {
         return None;
     }
     let mut lines = payload.lines();
-    let header = lines.next()?;
-    let mut t = header.split(' ');
-    if t.next()? != "sfcache" {
-        return None;
-    }
-    let version: u32 = t.next()?.strip_prefix('v')?.parse().ok()?;
-    if version != CACHE_FORMAT_VERSION {
-        return None;
-    }
-    if t.next()? != "epoch" {
-        return None;
-    }
-    let epoch: u32 = t.next()?.parse().ok()?;
-    if epoch != sf_sim::ENGINE_EPOCH {
-        return None;
-    }
-    if t.next()? != "key" {
-        return None;
-    }
-    let stored_key = t.next()?;
-    if let Some(k) = want {
-        if stored_key != k.to_string() {
-            return None;
-        }
-    }
-    if t.next()? != "records" {
-        return None;
-    }
-    let n: usize = t.next()?.parse().ok()?;
-    if t.next().is_some() {
-        return None;
-    }
-    let mut records = Vec::with_capacity(n);
-    for line in lines {
-        records.push(decode_record(line)?);
-    }
-    if records.len() != n {
-        return None;
-    }
-    Some(records)
+    Some((Header::parse(lines.next()?)?, lines))
 }
 
-/// Classifies an entry file for `stats`/`gc`: checksum + structure
+/// Classifies an entry file for `stats`/`gc`: checksum and structure
 /// first (corrupt beats stale), then epoch/version currency, then the
-/// filename↔header key agreement.
+/// filename↔header key agreement (a renamed file can shadow the wrong
+/// address).
 fn classify_entry(text: &str, stem: &str) -> EntryState {
-    // A checksum-valid entry whose epoch or version is old is *stale*;
-    // distinguish by retrying the parse with the epoch/version checks
-    // relaxed.
-    if parse_entry(text, None).is_some() {
-        // Fully valid — but only if the filename matches the header
-        // key (a renamed file can shadow the wrong address).
-        if header_key(text).as_deref() == Some(stem) {
-            return EntryState::Valid;
-        }
-        return EntryState::Corrupt;
+    match checked_payload(text) {
+        None => EntryState::Corrupt,
+        Some((header, _)) if !header.current => EntryState::Stale,
+        Some((header, lines)) => match header.records(lines, stem) {
+            Some(_) => EntryState::Valid,
+            None => EntryState::Corrupt,
+        },
     }
-    if checksum_ok(text) && header_key(text).is_some() {
-        return EntryState::Stale;
-    }
-    EntryState::Corrupt
 }
 
-/// Whether the trailer checksum matches the payload.
-fn checksum_ok(text: &str) -> bool {
-    (|| {
-        let without_final_nl = text.strip_suffix('\n')?;
-        let (payload, sum_line) = without_final_nl.rsplit_once('\n')?;
-        let sum = u64::from_str_radix(sum_line.strip_prefix("sum ")?, 16).ok()?;
-        let mut h = fnv1a(FNV_OFFSET, payload.as_bytes());
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-        Some(h == sum)
-    })()
-    .unwrap_or(false)
-}
-
-/// The `key` field of an entry header, if the header is shaped like
-/// one (used by `stats`/`gc`, which don't know the expected key).
-fn header_key(text: &str) -> Option<String> {
-    let header = text.lines().next()?;
-    let mut t = header.split(' ');
-    if t.next()? != "sfcache" {
-        return None;
-    }
-    t.next()?; // version
-    if t.next()? != "epoch" {
-        return None;
-    }
-    t.next()?.parse::<u32>().ok()?;
-    if t.next()? != "key" {
-        return None;
-    }
-    let key = t.next()?;
-    (key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit())).then(|| key.to_string())
-}
-
-/// Encodes one record as a tab-separated line: 5 escaped strings, the
-/// packet size, 6 floats as `f64::to_bits` hex (bit-exact, NaN-safe),
-/// and the saturated flag as 0/1. Field order matches [`Record`]'s
-/// declaration (and its CSV column order).
+/// Encodes one record as a tab-separated line of its
+/// [`Record::cells`]: strings escaped, the packet size in decimal,
+/// floats as `f64::to_bits` hex (bit-exact, NaN-safe), and the
+/// saturated flag as 0/1.
 fn encode_record(r: &Record, out: &mut String) {
-    for s in [&r.topology, &r.spec, &r.routing, &r.traffic, &r.backend] {
-        escape_into(s, out);
-        out.push('\t');
+    for (i, cell) in r.cells().into_iter().enumerate() {
+        if i > 0 {
+            out.push('\t');
+        }
+        match cell {
+            Cell::Str(s) => escape_into(s, out),
+            Cell::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Cell::Float(v) => {
+                let _ = write!(out, "{:016x}", v.to_bits());
+            }
+            Cell::Bool(b) => out.push(if b { '1' } else { '0' }),
+        }
     }
-    let _ = write!(
-        out,
-        "{}\t{:016x}\t{:016x}\t{:016x}\t{:016x}\t{:016x}\t{}\t{:016x}",
-        r.packet_size,
-        r.offered.to_bits(),
-        r.latency.to_bits(),
-        r.p99.to_bits(),
-        r.accepted.to_bits(),
-        r.avg_hops.to_bits(),
-        u8::from(r.saturated),
-        r.max_link_util.to_bits()
-    );
 }
 
 /// Decodes one [`encode_record`] line; `None` on any malformation.
 fn decode_record(line: &str) -> Option<Record> {
-    let mut f = line.split('\t');
-    let topology = unescape(f.next()?)?;
-    let spec = unescape(f.next()?)?;
-    let routing = unescape(f.next()?)?;
-    let traffic = unescape(f.next()?)?;
-    let backend = unescape(f.next()?)?;
-    let packet_size: usize = f.next()?.parse().ok()?;
-    let mut float =
-        || -> Option<f64> { Some(f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?)) };
-    let offered = float()?;
-    let latency = float()?;
-    let p99 = float()?;
-    let accepted = float()?;
-    let avg_hops = float()?;
-    let saturated = match f.next()? {
-        "0" => false,
-        "1" => true,
-        _ => return None,
-    };
-    let max_link_util = f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?);
-    if f.next().is_some() {
+    let fields: Vec<&str> = line.split('\t').collect();
+    let [topo, spec, routing, traffic, backend, size, offered, lat, p99, acc, hops, sat, util] =
+        fields[..]
+    else {
         return None;
-    }
+    };
+    let float = |s: &str| Some(f64::from_bits(u64::from_str_radix(s, 16).ok()?));
     Some(Record {
-        topology,
-        spec,
-        routing,
-        traffic,
-        backend,
-        packet_size,
-        offered,
-        latency,
-        p99,
-        accepted,
-        avg_hops,
-        saturated,
-        max_link_util,
+        topology: unescape(topo)?,
+        spec: unescape(spec)?,
+        routing: unescape(routing)?,
+        traffic: unescape(traffic)?,
+        backend: unescape(backend)?,
+        packet_size: size.parse().ok()?,
+        offered: float(offered)?,
+        latency: float(lat)?,
+        p99: float(p99)?,
+        accepted: float(acc)?,
+        avg_hops: float(hops)?,
+        saturated: match sat {
+            "0" => false,
+            "1" => true,
+            _ => return None,
+        },
+        max_link_util: float(util)?,
     })
 }
 

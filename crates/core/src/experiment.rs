@@ -34,7 +34,7 @@
 //! surface as typed [`SfError`]s when the experiment executes.
 
 use crate::error::SfError;
-use crate::plan::{Backend, ExperimentPlan, SweepPlan};
+use crate::plan::{check_sweep, Backend, ExperimentPlan, SweepPlan};
 use crate::schedule::Scheduler;
 use crate::sink::MemorySink;
 use crate::spec::TopologySpec;
@@ -92,6 +92,10 @@ fn json_num(v: f64) -> String {
 }
 
 /// One structured result row of a simulated experiment.
+///
+/// [`Record::CSV_HEADER`] is the one column list and
+/// [`Record::cells`] the one list of values: CSV rows, JSON lines and
+/// the result cache's entry codec all loop over the cells.
 #[derive(Clone, Debug)]
 pub struct Record {
     /// Network instance name (e.g. `SF(q=19,p=15)`).
@@ -124,53 +128,92 @@ pub struct Record {
     pub max_link_util: f64,
 }
 
+/// One serialized value of a [`Record`], typed so each sink picks its
+/// own rendering (see [`Record::cells`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Cell<'a> {
+    /// A label (topology, spec, routing, traffic, backend).
+    Str(&'a str),
+    /// An integer count (packet size).
+    Int(usize),
+    /// A measured quantity (may be NaN).
+    Float(f64),
+    /// A flag (saturated).
+    Bool(bool),
+}
+
 impl Record {
-    /// Header row matching [`Record::to_csv`].
+    /// The column names, in [`Record::cells`] order: the CSV header
+    /// and the JSON keys.
     pub const CSV_HEADER: &'static str =
         "topology,spec,routing,traffic,backend,packet_size,offered,latency,p99,accepted,avg_hops,saturated,max_link_util";
+
+    /// Every column's value, in [`Record::CSV_HEADER`] order — the one
+    /// list the CSV, JSON and cache codecs loop over. The exhaustive
+    /// destructure makes a new field a compile error until it has a
+    /// cell here (and a column in the header).
+    pub fn cells(&self) -> [Cell<'_>; 13] {
+        let Record {
+            topology,
+            spec,
+            routing,
+            traffic,
+            backend,
+            packet_size,
+            offered,
+            latency,
+            p99,
+            accepted,
+            avg_hops,
+            saturated,
+            max_link_util,
+        } = self;
+        [
+            Cell::Str(topology),
+            Cell::Str(spec),
+            Cell::Str(routing),
+            Cell::Str(traffic),
+            Cell::Str(backend),
+            Cell::Int(*packet_size),
+            Cell::Float(*offered),
+            Cell::Float(*latency),
+            Cell::Float(*p99),
+            Cell::Float(*accepted),
+            Cell::Float(*avg_hops),
+            Cell::Bool(*saturated),
+            Cell::Float(*max_link_util),
+        ]
+    }
 
     /// One CSV row (fields in [`Record::CSV_HEADER`] order; fields
     /// containing commas are RFC 4180-quoted).
     pub fn to_csv(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            csv_field(&self.topology),
-            csv_field(&self.spec),
-            csv_field(&self.routing),
-            csv_field(&self.traffic),
-            csv_field(&self.backend),
-            self.packet_size,
-            fmt_float(self.offered),
-            fmt_float(self.latency),
-            fmt_float(self.p99),
-            fmt_float(self.accepted),
-            fmt_float(self.avg_hops),
-            self.saturated,
-            fmt_float(self.max_link_util),
-        )
+        let cells = self.cells().map(|c| match c {
+            Cell::Str(s) => csv_field(s),
+            Cell::Int(n) => n.to_string(),
+            Cell::Float(v) => fmt_float(v),
+            Cell::Bool(b) => b.to_string(),
+        });
+        cells.join(",")
     }
 
-    /// One JSON object (a JSON-lines row; non-finite floats are `null`).
+    /// One JSON object (a JSON-lines row; keys from
+    /// [`Record::CSV_HEADER`], non-finite floats are `null`).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"topology\":{},\"spec\":{},\"routing\":{},\"traffic\":{},\"backend\":{},\
-             \"packet_size\":{},\"offered\":{},\
-             \"latency\":{},\"p99\":{},\"accepted\":{},\"avg_hops\":{},\"saturated\":{},\
-             \"max_link_util\":{}}}",
-            json_str(&self.topology),
-            json_str(&self.spec),
-            json_str(&self.routing),
-            json_str(&self.traffic),
-            json_str(&self.backend),
-            self.packet_size,
-            json_num(self.offered),
-            json_num(self.latency),
-            json_num(self.p99),
-            json_num(self.accepted),
-            json_num(self.avg_hops),
-            self.saturated,
-            json_num(self.max_link_util),
-        )
+        let members: Vec<String> = Self::CSV_HEADER
+            .split(',')
+            .zip(self.cells())
+            .map(|(key, c)| {
+                let value = match c {
+                    Cell::Str(s) => json_str(s),
+                    Cell::Int(n) => n.to_string(),
+                    Cell::Float(v) => json_num(v),
+                    Cell::Bool(b) => b.to_string(),
+                };
+                format!("{}:{value}", json_str(key))
+            })
+            .collect();
+        format!("{{{}}}", members.join(","))
     }
 }
 
@@ -428,7 +471,7 @@ impl Experiment {
     /// Lowers the builder to a single-sweep [`ExperimentPlan`] — the
     /// declarative form config files use ([`crate::plan`]). String
     /// topology/routing inputs are parsed here (typed errors), loads
-    /// and VC counts validated by the plan's
+    /// and [`SimConfig`] bounds validated by the plan's
     /// [`expand`](ExperimentPlan::expand).
     pub fn to_plan(&self) -> Result<ExperimentPlan, SfError> {
         let spec = self.spec()?;
@@ -458,34 +501,9 @@ impl Experiment {
     /// [`Scheduler::default_workers`]); records are ordered by job id,
     /// so the result is bit-identical to a sequential run.
     pub fn run(&self) -> Result<Vec<Record>, SfError> {
-        // Load/VC validation precedes spec parsing, matching the
+        // Load and SimConfig checks precede spec parsing, matching the
         // pre-plan builder's error precedence.
-        if self.loads.is_empty() {
-            return Err(SfError::Experiment("no offered loads configured".into()));
-        }
-        if let Some(&bad) = self
-            .loads
-            .iter()
-            .find(|l| !(0.0..=1.0).contains(*l) || l.is_nan())
-        {
-            return Err(SfError::Experiment(format!(
-                "offered load {bad} outside [0, 1]"
-            )));
-        }
-        if !(1..=sf_sim::MAX_VCS).contains(&self.sim.num_vcs) {
-            return Err(SfError::Experiment(format!(
-                "num_vcs must be in 1..={} (VC ids are 8-bit in the simulator), got {}",
-                sf_sim::MAX_VCS,
-                self.sim.num_vcs
-            )));
-        }
-        if !(1..=sf_sim::MAX_PACKET_SIZE).contains(&self.sim.packet_size) {
-            return Err(SfError::Experiment(format!(
-                "packet_size must be in 1..={} flits, got {}",
-                sf_sim::MAX_PACKET_SIZE,
-                self.sim.packet_size
-            )));
-        }
+        check_sweep(&self.loads, &self.sim, self.warm_start)?;
         let mut set = self.to_plan()?.expand()?;
         let mut sink = MemorySink::new();
         Scheduler::default().run(&mut set, &mut sink)?;
@@ -761,6 +779,81 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, SfError::Experiment(_)), "{err}");
+    }
+
+    #[test]
+    fn bad_measurement_windows_are_rejected_before_spec_errors() {
+        let windows = [
+            (
+                SimConfig {
+                    measure: 0,
+                    ..quick_sim()
+                },
+                false,
+                "measure",
+            ),
+            (
+                SimConfig {
+                    warmup: u32::MAX,
+                    measure: 1,
+                    ..quick_sim()
+                },
+                false,
+                "warmup",
+            ),
+            (
+                SimConfig {
+                    warmup: u32::MAX / 2,
+                    measure: 1,
+                    drain: 0,
+                    ..quick_sim()
+                },
+                true,
+                "× 2 warm-started loads",
+            ),
+        ];
+        for (sim, warm, field) in windows {
+            // An unbuildable topology: the window error must win.
+            let err = Experiment::on(TopologySpec::SlimFly { q: 6, p: None })
+                .loads(&[0.1, 0.2])
+                .sim(sim)
+                .warm_start(warm)
+                .run()
+                .unwrap_err();
+            assert!(matches!(err, SfError::Experiment(_)), "{err}");
+            assert!(err.to_string().contains(field), "{err}");
+        }
+    }
+
+    #[test]
+    fn record_cells_match_the_header() {
+        let r = Record {
+            topology: "SF(q=5,p=4)".into(),
+            spec: "sf:q=5".into(),
+            routing: "MIN".into(),
+            traffic: "uniform".into(),
+            backend: "cycle".into(),
+            packet_size: 4,
+            offered: 0.1,
+            latency: f64::NAN,
+            p99: 2.0,
+            accepted: 0.1,
+            avg_hops: 1.5,
+            saturated: true,
+            max_link_util: 0.2,
+        };
+        assert_eq!(r.cells().len(), Record::CSV_HEADER.split(',').count());
+        assert_eq!(
+            r.to_csv(),
+            "\"SF(q=5,p=4)\",sf:q=5,MIN,uniform,cycle,4,0.100,nan,2.000,0.100,1.500,true,0.200"
+        );
+        assert_eq!(
+            r.to_json(),
+            "{\"topology\":\"SF(q=5,p=4)\",\"spec\":\"sf:q=5\",\"routing\":\"MIN\",\
+             \"traffic\":\"uniform\",\"backend\":\"cycle\",\"packet_size\":4,\"offered\":0.1,\
+             \"latency\":null,\"p99\":2,\"accepted\":0.1,\"avg_hops\":1.5,\"saturated\":true,\
+             \"max_link_util\":0.2}"
+        );
     }
 
     #[test]

@@ -123,7 +123,7 @@ use rayon::prelude::*;
 use sf_flow::{Demand, EdgeIndex, FlowError, RoutingLoads};
 use sf_graph::fault::{self, FaultMode};
 use sf_routing::{Router, RoutingSpec, RoutingTables};
-use sf_sim::{LoadSweep, SimConfig, Simulator};
+use sf_sim::{FieldWidth, LoadSweep, SimConfig, Simulator};
 use sf_topo::Network;
 use sf_traffic::{TrafficPattern, TrafficSpec};
 use std::fmt;
@@ -231,13 +231,8 @@ impl FaultPlan {
                 "links" => fp.links = parse_fraction(val, "faults.links")?,
                 "routers" => fp.routers = parse_fraction(val, "faults.routers")?,
                 "seed" => {
-                    // Same u64 handling as sim.seed: values above
-                    // i64::MAX travel as strings.
-                    fp.seed = match val {
-                        Value::String(s) => s.parse::<u64>().ok(),
-                        _ => val.as_int().filter(|&i| i >= 0).map(|i| i as u64),
-                    }
-                    .ok_or_else(|| plan_err("faults.seed must be a non-negative integer"))?
+                    fp.seed = parse_u64(val)
+                        .ok_or_else(|| plan_err("faults.seed must be a non-negative integer"))?
                 }
                 "mode" => {
                     fp.mode = val
@@ -258,16 +253,25 @@ impl FaultPlan {
         let mut t = Map::new();
         t.insert("links".into(), Value::Float(self.links));
         t.insert("routers".into(), Value::Float(self.routers));
-        t.insert(
-            "seed".into(),
-            match i64::try_from(self.seed) {
-                Ok(i) => Value::Integer(i),
-                Err(_) => Value::String(self.seed.to_string()),
-            },
-        );
+        t.insert("seed".into(), u64_value(self.seed));
         t.insert("mode".into(), Value::String(self.mode.to_string()));
         Value::Table(t)
     }
+}
+
+/// Parses a `u64` plan value: a non-negative integer, or the decimal
+/// string [`u64_value`] writes for values above `i64::MAX`.
+fn parse_u64(v: &Value) -> Option<u64> {
+    match v {
+        Value::String(s) => s.parse().ok(),
+        _ => v.as_int().and_then(|i| u64::try_from(i).ok()),
+    }
+}
+
+/// A `u64` as a plan value: a TOML integer, or a decimal string when
+/// it is too big for one.
+fn u64_value(x: u64) -> Value {
+    i64::try_from(x).map_or_else(|_| Value::String(x.to_string()), Value::Integer)
 }
 
 /// Parses a fault fraction: a number in \[0, 1\].
@@ -435,24 +439,8 @@ impl ExperimentPlan {
             .iter()
             .map(|s| {
                 let mut t = Map::new();
-                t.insert(
-                    "topos".into(),
-                    Value::Array(
-                        s.topos
-                            .iter()
-                            .map(|x| Value::String(x.to_string()))
-                            .collect(),
-                    ),
-                );
-                t.insert(
-                    "routing".into(),
-                    Value::Array(
-                        s.routings
-                            .iter()
-                            .map(|x| Value::String(x.to_string()))
-                            .collect(),
-                    ),
-                );
+                t.insert("topos".into(), display_array(&s.topos));
+                t.insert("routing".into(), display_array(&s.routings));
                 t.insert("traffic".into(), Value::String(s.traffic.to_string()));
                 t.insert("backend".into(), Value::String(s.backend.to_string()));
                 t.insert(
@@ -473,40 +461,16 @@ impl ExperimentPlan {
 
     /// Expands the plan to its flat, deterministic [`JobSet`]: sweeps
     /// in order, each over topologies → routings → loads, with
-    /// consecutive job ids. Validates loads, VC counts and routing
-    /// parameters; topology *construction* is deferred to
+    /// consecutive job ids. Validates loads, every [`SimConfig`] bound
+    /// ([`SimConfig::validate`]) and routing parameters; topology
+    /// *construction* is deferred to
     /// [`JobSet::prepare`].
     pub fn expand(&self) -> Result<JobSet, SfError> {
-        let mut topos: Vec<TopologySpec> = Vec::new();
-        let mut topo_faults: Vec<Option<FaultPlan>> = Vec::new();
+        // Topology instances: (spec, normalized fault plan) pairs.
+        let mut instances: Vec<(TopologySpec, Option<FaultPlan>)> = Vec::new();
         let mut jobs = Vec::new();
         for (si, sweep) in self.sweeps.iter().enumerate() {
-            if sweep.loads.is_empty() {
-                return Err(SfError::Experiment("no offered loads configured".into()));
-            }
-            if let Some(&bad) = sweep
-                .loads
-                .iter()
-                .find(|l| !(0.0..=1.0).contains(*l) || l.is_nan())
-            {
-                return Err(SfError::Experiment(format!(
-                    "offered load {bad} outside [0, 1]"
-                )));
-            }
-            if !(1..=sf_sim::MAX_VCS).contains(&sweep.sim.num_vcs) {
-                return Err(SfError::Experiment(format!(
-                    "num_vcs must be in 1..={} (VC ids are 8-bit in the simulator), got {}",
-                    sf_sim::MAX_VCS,
-                    sweep.sim.num_vcs
-                )));
-            }
-            if !(1..=sf_sim::MAX_PACKET_SIZE).contains(&sweep.sim.packet_size) {
-                return Err(SfError::Experiment(format!(
-                    "packet_size must be in 1..={} flits, got {}",
-                    sf_sim::MAX_PACKET_SIZE,
-                    sweep.sim.packet_size
-                )));
-            }
+            check_sweep(&sweep.loads, &sweep.sim, sweep.warm_start)?;
             // Matrix sugar multiplies [[sweep]] blocks at parse time,
             // so this index may not match a file ordinal — say so.
             if sweep.topos.is_empty() {
@@ -546,18 +510,7 @@ impl ExperimentPlan {
                 }
             }
             for topo in &sweep.topos {
-                let ti = match topos
-                    .iter()
-                    .zip(&topo_faults)
-                    .position(|(t, f)| t == topo && *f == fp)
-                {
-                    Some(i) => i,
-                    None => {
-                        topos.push(topo.clone());
-                        topo_faults.push(fp);
-                        topos.len() - 1
-                    }
-                };
+                let ti = intern(&mut instances, (topo.clone(), fp));
                 for routing in &sweep.routings {
                     routing.validate()?;
                     if sweep.backend == Backend::Flow {
@@ -598,43 +551,27 @@ impl ExperimentPlan {
         // jobs: with warm_start = false every load is its own job, and
         // rebuilding e.g. FatPaths layer sets once per load point
         // would multiply the precomputation by the sweep length.
-        let mut router_keys: Vec<(usize, RoutingSpec)> = Vec::new();
-        let mut pattern_keys: Vec<(usize, TrafficSpec)> = Vec::new();
-        let mut flow_keys: Vec<(usize, RoutingSpec, TrafficSpec)> = Vec::new();
-        let mut router_of = Vec::with_capacity(jobs.len());
-        let mut pattern_of = Vec::with_capacity(jobs.len());
-        let mut flow_of = Vec::with_capacity(jobs.len());
-        for job in &jobs {
-            let rk = (job.topo, job.routing);
-            router_of.push(match router_keys.iter().position(|k| *k == rk) {
-                Some(i) => i,
-                None => {
-                    router_keys.push(rk);
-                    router_keys.len() - 1
-                }
-            });
-            let pk = (job.topo, job.traffic);
-            pattern_of.push(match pattern_keys.iter().position(|k| *k == pk) {
-                Some(i) => i,
-                None => {
-                    pattern_keys.push(pk);
-                    pattern_keys.len() - 1
-                }
-            });
-            let fk = (job.topo, job.routing, job.traffic);
-            flow_of.push(match flow_keys.iter().position(|k| *k == fk) {
-                Some(i) => i,
-                None => {
-                    flow_keys.push(fk);
-                    flow_keys.len() - 1
-                }
-            });
-        }
+        let mut router_keys = Vec::new();
+        let mut pattern_keys = Vec::new();
+        let mut flow_keys = Vec::new();
+        let router_of: Vec<usize> = jobs
+            .iter()
+            .map(|j| intern(&mut router_keys, (j.topo, j.routing)))
+            .collect();
+        let pattern_of: Vec<usize> = jobs
+            .iter()
+            .map(|j| intern(&mut pattern_keys, (j.topo, j.traffic)))
+            .collect();
+        let flow_of: Vec<usize> = jobs
+            .iter()
+            .map(|j| intern(&mut flow_keys, (j.topo, j.routing, j.traffic)))
+            .collect();
+        let (topos, faults): (Vec<_>, Vec<_>) = instances.into_iter().unzip();
         let num_topos = topos.len();
         Ok(JobSet {
             jobs,
             topos,
-            faults: topo_faults,
+            faults,
             ctxs: Vec::new(),
             routers: (0..router_keys.len()).map(|_| OnceLock::new()).collect(),
             router_of,
@@ -648,6 +585,43 @@ impl ExperimentPlan {
             edge_idx: (0..num_topos).map(|_| OnceLock::new()).collect(),
         })
     }
+}
+
+/// A TOML array of the `Display` forms of `xs`.
+fn display_array<T: fmt::Display>(xs: &[T]) -> Value {
+    Value::Array(xs.iter().map(|x| Value::String(x.to_string())).collect())
+}
+
+/// The index of `key` in `keys`, appending it first if it is new (so
+/// `keys` keeps first-appearance order).
+pub(crate) fn intern<K: PartialEq>(keys: &mut Vec<K>, key: K) -> usize {
+    match keys.iter().position(|k| *k == key) {
+        Some(i) => i,
+        None => {
+            keys.push(key);
+            keys.len() - 1
+        }
+    }
+}
+
+/// The sweep-level checks plan expansion and the fluent builder share:
+/// a non-empty load list inside \[0, 1\], then every [`SimConfig`]
+/// domain bound ([`SimConfig::validate`]), with a warm-start chain's
+/// loads counted as phases of one simulator.
+pub(crate) fn check_sweep(loads: &[f64], sim: &SimConfig, warm_start: bool) -> Result<(), SfError> {
+    if loads.is_empty() {
+        return Err(SfError::Experiment("no offered loads configured".into()));
+    }
+    if let Some(&bad) = loads
+        .iter()
+        .find(|l| !(0.0..=1.0).contains(*l) || l.is_nan())
+    {
+        return Err(SfError::Experiment(format!(
+            "offered load {bad} outside [0, 1]"
+        )));
+    }
+    let phases = if warm_start { loads.len() } else { 1 };
+    sim.validate_chain(phases).map_err(SfError::Experiment)
 }
 
 /// Checks that a routing has a flow-level lowering; typed error
@@ -708,13 +682,7 @@ impl SweepDefaults {
             loads: v.get("loads").map(parse_loads).transpose()?,
             sim: v.get("sim").cloned(),
             backend: v.get("backend").map(parse_backend).transpose()?,
-            warm_start: match v.get("warm_start") {
-                None => None,
-                Some(b) => Some(
-                    b.as_bool()
-                        .ok_or_else(|| plan_err("warm_start must be a boolean"))?,
-                ),
-            },
+            warm_start: v.get("warm_start").map(parse_warm_start).transpose()?,
         })
     }
 }
@@ -790,9 +758,7 @@ impl SweepPlan {
             apply_sim(&mut sim, s)?;
         }
         let warm_start = match v.get("warm_start") {
-            Some(b) => b
-                .as_bool()
-                .ok_or_else(|| plan_err("warm_start must be a boolean"))?,
+            Some(b) => parse_warm_start(b)?,
             None => defaults.warm_start.unwrap_or(false),
         };
         let backend = match (v.get("backend"), v.get("backends")) {
@@ -963,6 +929,11 @@ fn parse_traffic(v: &Value) -> Result<TrafficSpec, SfError> {
         .parse::<TrafficSpec>()?)
 }
 
+fn parse_warm_start(v: &Value) -> Result<bool, SfError> {
+    v.as_bool()
+        .ok_or_else(|| plan_err("warm_start must be a boolean"))
+}
+
 fn parse_loads(v: &Value) -> Result<Vec<f64>, SfError> {
     let items = v
         .as_array()
@@ -976,96 +947,36 @@ fn parse_loads(v: &Value) -> Result<Vec<f64>, SfError> {
         .collect()
 }
 
-/// Applies the keys of a `sim` table onto a [`SimConfig`].
+/// Applies the keys of a `sim` table onto a [`SimConfig`] through its
+/// field table ([`SimConfig::set`]).
 fn apply_sim(cfg: &mut SimConfig, v: &Value) -> Result<(), SfError> {
     let t = v
         .as_table()
         .ok_or_else(|| plan_err("sim must be a table of SimConfig fields"))?;
     for (key, val) in t {
-        let as_usize = || -> Result<usize, SfError> {
-            val.as_int()
-                .filter(|&i| i >= 0)
-                .map(|i| i as usize)
-                .ok_or_else(|| plan_err(&format!("sim.{key} must be a non-negative integer")))
-        };
-        let as_u32 = || -> Result<u32, SfError> {
-            val.as_int()
-                .filter(|&i| (0..=u32::MAX as i64).contains(&i))
-                .map(|i| i as u32)
-                .ok_or_else(|| plan_err(&format!("sim.{key} must be a u32 integer")))
-        };
-        match key.as_str() {
-            "num_vcs" => cfg.num_vcs = as_usize()?,
-            "packet_size" => cfg.packet_size = as_usize()?,
-            "buf_per_port" => cfg.buf_per_port = as_usize()?,
-            "channel_latency" => cfg.channel_latency = as_u32()?,
-            "router_delay" => cfg.router_delay = as_u32()?,
-            "credit_delay" => cfg.credit_delay = as_u32()?,
-            "output_speedup" => cfg.output_speedup = as_usize()?,
-            "output_queue_cap" => cfg.output_queue_cap = as_usize()?,
-            "warmup" => cfg.warmup = as_u32()?,
-            "measure" => cfg.measure = as_u32()?,
-            "drain" => cfg.drain = as_u32()?,
-            // Intra-simulation engine threads (the cycle engine's
-            // sharded driver). Results are independent of this value;
-            // the engine clamps it to its shard count, the scheduler
-            // clamps workers × threads to the machine.
-            "threads" => cfg.threads = as_usize()?,
-            "seed" => {
-                // Seeds are u64; values above i64::MAX don't fit a TOML
-                // integer and travel as strings (see `sim_to_value`).
-                cfg.seed = match val {
-                    Value::String(s) => s.parse::<u64>().ok(),
-                    _ => val.as_int().filter(|&i| i >= 0).map(|i| i as u64),
-                }
-                .ok_or_else(|| plan_err("sim.seed must be a non-negative integer"))?
-            }
-            other => return Err(plan_err(&format!("unknown sim key {other:?}"))),
+        let width = cfg
+            .fields()
+            .iter()
+            .find(|f| f.key == key)
+            .map(|f| f.width)
+            .ok_or_else(|| plan_err(&format!("unknown sim key {key:?}")))?;
+        let value = match val {
+            Value::String(_) if width != FieldWidth::U64 => None,
+            _ => parse_u64(val),
         }
+        .ok_or_else(|| plan_err(&format!("sim.{key} must be a non-negative integer")))?;
+        cfg.set(key, value).map_err(|e| plan_err(&e))?;
     }
     Ok(())
 }
 
+/// The `sim` table of a canonical plan: every [`SimConfig`] field.
 fn sim_to_value(cfg: &SimConfig) -> Value {
-    let mut t = Map::new();
-    t.insert("num_vcs".into(), Value::Integer(cfg.num_vcs as i64));
-    t.insert("packet_size".into(), Value::Integer(cfg.packet_size as i64));
-    t.insert(
-        "buf_per_port".into(),
-        Value::Integer(cfg.buf_per_port as i64),
-    );
-    t.insert(
-        "channel_latency".into(),
-        Value::Integer(cfg.channel_latency as i64),
-    );
-    t.insert(
-        "router_delay".into(),
-        Value::Integer(cfg.router_delay as i64),
-    );
-    t.insert(
-        "credit_delay".into(),
-        Value::Integer(cfg.credit_delay as i64),
-    );
-    t.insert(
-        "output_speedup".into(),
-        Value::Integer(cfg.output_speedup as i64),
-    );
-    t.insert(
-        "output_queue_cap".into(),
-        Value::Integer(cfg.output_queue_cap as i64),
-    );
-    t.insert("threads".into(), Value::Integer(cfg.threads as i64));
-    t.insert("warmup".into(), Value::Integer(cfg.warmup as i64));
-    t.insert("measure".into(), Value::Integer(cfg.measure as i64));
-    t.insert("drain".into(), Value::Integer(cfg.drain as i64));
-    t.insert(
-        "seed".into(),
-        match i64::try_from(cfg.seed) {
-            Ok(i) => Value::Integer(i),
-            // Too big for a TOML integer: string form, re-parsed as u64.
-            Err(_) => Value::String(cfg.seed.to_string()),
-        },
-    );
+    let t = cfg
+        .fields()
+        .into_iter()
+        .map(|f| (f.key.to_string(), u64_value(f.value)))
+        .collect();
     Value::Table(t)
 }
 
@@ -1716,6 +1627,27 @@ mod tests {
         assert!(matches!(err, SfError::Experiment(_)), "{err}");
         let err = plan("[sweep.sim]\nnum_vcs = 0").expand().unwrap_err();
         assert!(matches!(err, SfError::Experiment(_)), "{err}");
+        // The measurement window: non-empty, and its cycles (over a
+        // whole warm-start chain) within the engine's u32 counter.
+        for (extra, field) in [
+            ("[sweep.sim]\nmeasure = 0", "measure"),
+            ("[sweep.sim]\nwarmup = 4294967295\nmeasure = 1", "warmup"),
+            (
+                "loads = [0.1, 0.2]\nwarm_start = true\n[sweep.sim]\n\
+                 warmup = 2147483647\nmeasure = 1\ndrain = 0",
+                "× 2 warm-started loads",
+            ),
+        ] {
+            let err = plan(extra).expand().unwrap_err();
+            assert!(matches!(err, SfError::Experiment(_)), "{extra}: {err}");
+            assert!(err.to_string().contains(field), "{extra}: {err}");
+        }
+        // One phase of that chain alone fits.
+        assert!(
+            plan("[sweep.sim]\nwarmup = 2147483647\nmeasure = 1\ndrain = 0")
+                .expand()
+                .is_ok()
+        );
         // Degenerate routing parameters are parse-time typed errors.
         let err = ExperimentPlan::from_toml_str(
             "[figure]\nname = \"x\"\n[[sweep]]\ntopo = \"sf:q=5\"\nrouting = [\"ugal-l:c=0\"]",

@@ -10,7 +10,7 @@
 //! generated reports diff cleanly across PRs.
 
 use crate::experiment::{fmt_float, Record};
-use crate::plan::{Backend, ExperimentPlan};
+use crate::plan::{intern, Backend, ExperimentPlan};
 
 /// Renders records grouped per (topology, traffic) into markdown
 /// tables (see the [module docs](self)). `heading` becomes the
@@ -48,9 +48,7 @@ fn render_groups(out: &mut String, records: &[Record], suffix: &str) {
             r.packet_size,
             r.backend.clone(),
         );
-        if !groups.contains(&key) {
-            groups.push(key);
-        }
+        intern(&mut groups, key);
     }
     for (topology, traffic, packet_size, backend) in &groups {
         let rows: Vec<&Record> = records
@@ -65,12 +63,8 @@ fn render_groups(out: &mut String, records: &[Record], suffix: &str) {
         let mut loads: Vec<f64> = Vec::new();
         let mut routings: Vec<String> = Vec::new();
         for r in &rows {
-            if !loads.contains(&r.offered) {
-                loads.push(r.offered);
-            }
-            if !routings.contains(&r.routing) {
-                routings.push(r.routing.clone());
-            }
+            intern(&mut loads, r.offered);
+            intern(&mut routings, r.routing.clone());
         }
         let size_note = if *packet_size == 1 {
             String::new()
@@ -133,10 +127,10 @@ fn render_backend_comparison(out: &mut String, records: &[Record]) {
     };
     let mut combos: Vec<(String, String, String)> = Vec::new();
     for r in records {
-        let key = (r.topology.clone(), r.traffic.clone(), r.routing.clone());
-        if !combos.contains(&key) {
-            combos.push(key);
-        }
+        intern(
+            &mut combos,
+            (r.topology.clone(), r.traffic.clone(), r.routing.clone()),
+        );
     }
     out.push_str("\n## Flow vs cycle saturation\n");
     out.push_str("\n| topology | traffic | routing | cycle knee | flow bound | flow/cycle |\n");
@@ -259,35 +253,24 @@ pub fn render_plan_report(plan: &ExperimentPlan, records: &[Record]) -> String {
     out
 }
 
-/// The `key = value` pairs in which `b` differs from `a`, in field
-/// order (the heading discriminator for same-topology sweeps). Only
-/// the fields `backend` reads count: the flow tier uses just the
-/// per-hop latency terms, never the cycle engine's windows or buffers.
+/// The `key = value` pairs in which `b` differs from `a`, in
+/// [`SimConfig::fields`](sf_sim::SimConfig::fields) order (the heading
+/// discriminator for same-topology sweeps). Only the fields `backend`
+/// reads count: the flow tier uses just the per-hop latency terms,
+/// never the cycle engine's windows or buffers. Packet size has its
+/// own record column, and `threads` never changes records.
 fn sim_diff(backend: Backend, a: &sf_sim::SimConfig, b: &sf_sim::SimConfig) -> String {
-    let mut parts = Vec::new();
-    macro_rules! diff {
-        ($($field:ident),*) => {{
-            $(if a.$field != b.$field {
-                parts.push(format!(concat!(stringify!($field), " = {}"), b.$field));
-            })*
-        }};
-    }
-    match backend {
-        Backend::Flow => diff!(channel_latency, router_delay),
-        Backend::Cycle => diff!(
-            num_vcs,
-            buf_per_port,
-            channel_latency,
-            router_delay,
-            credit_delay,
-            output_speedup,
-            output_queue_cap,
-            warmup,
-            measure,
-            drain,
-            seed
-        ),
-    }
+    let reads = |key: &str| match backend {
+        Backend::Flow => matches!(key, "channel_latency" | "router_delay"),
+        Backend::Cycle => !matches!(key, "packet_size" | "threads"),
+    };
+    let parts: Vec<String> = a
+        .fields()
+        .iter()
+        .zip(b.fields())
+        .filter(|(fa, fb)| reads(fb.key) && fa.value != fb.value)
+        .map(|(_, fb)| format!("{} = {}", fb.key, fb.value))
+        .collect();
     parts.join(", ")
 }
 

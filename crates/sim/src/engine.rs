@@ -247,6 +247,13 @@ use std::sync::{Barrier, Mutex};
 const DROP_ROUTE: u32 = u32::MAX - 1;
 
 /// Router micro-architecture and measurement parameters (§V defaults).
+///
+/// [`SimConfig::fields`] lists every field once with its key, value and
+/// integer width; plan files set fields by key ([`SimConfig::set`]), and
+/// the canonical plan TOML, the result-cache key and the report's
+/// heading discriminator are loops over that table. Every domain bound
+/// the engine relies on is checked by [`SimConfig::validate`], which
+/// plan expansion, the fluent builder and [`Simulator::new`] all call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimConfig {
     /// Virtual channels per port (≥ 1, ≤ [`MAX_VCS`]). The paper quotes
@@ -272,9 +279,11 @@ pub struct SimConfig {
     pub output_speedup: usize,
     /// Output staging queue depth (absorbs the speedup burst).
     pub output_queue_cap: usize,
-    /// Warm-up cycles before measurement.
+    /// Warm-up cycles before measurement. `warmup + measure + drain`
+    /// must fit the engine's `u32` cycle counter.
     pub warmup: u32,
-    /// Measurement window in cycles.
+    /// Measurement window in cycles (≥ 1: accepted throughput is flits
+    /// per measured cycle).
     pub measure: u32,
     /// Extra drain cycles allowed after the window.
     pub drain: u32,
@@ -390,6 +399,151 @@ impl Default for SimConfig {
             seed: 0x5EED,
             threads: 1,
         }
+    }
+}
+
+/// Integer width of a [`SimConfig`] field.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FieldWidth {
+    /// A `usize` count (buffers, VCs, flits, threads).
+    Usize,
+    /// A `u32` cycle count or delay.
+    U32,
+    /// A `u64` (the seed).
+    U64,
+}
+
+/// One row of the [`SimConfig`] field table ([`SimConfig::fields`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SimField {
+    /// The field's name: its `[sweep.sim]` plan key, its cache-key
+    /// token and its report label.
+    pub key: &'static str,
+    /// The field's value, widened to `u64`.
+    pub value: u64,
+    /// The field's integer width.
+    pub width: FieldWidth,
+}
+
+/// A typed mutable reference to one [`SimConfig`] field.
+enum FieldRef<'a> {
+    Usize(&'a mut usize),
+    U32(&'a mut u32),
+    U64(&'a mut u64),
+}
+
+impl SimConfig {
+    /// The number of fields, i.e. rows of [`SimConfig::fields`].
+    pub const NUM_FIELDS: usize = 13;
+
+    /// The one field list. The exhaustive destructure makes a new
+    /// field a compile error until it has a row here.
+    fn field_refs(&mut self) -> [(&'static str, FieldRef<'_>); Self::NUM_FIELDS] {
+        let SimConfig {
+            num_vcs,
+            buf_per_port,
+            channel_latency,
+            router_delay,
+            credit_delay,
+            output_speedup,
+            output_queue_cap,
+            warmup,
+            measure,
+            drain,
+            packet_size,
+            seed,
+            threads,
+        } = self;
+        use FieldRef::{Usize, U32, U64};
+        [
+            ("num_vcs", Usize(num_vcs)),
+            ("buf_per_port", Usize(buf_per_port)),
+            ("channel_latency", U32(channel_latency)),
+            ("router_delay", U32(router_delay)),
+            ("credit_delay", U32(credit_delay)),
+            ("output_speedup", Usize(output_speedup)),
+            ("output_queue_cap", Usize(output_queue_cap)),
+            ("warmup", U32(warmup)),
+            ("measure", U32(measure)),
+            ("drain", U32(drain)),
+            ("packet_size", Usize(packet_size)),
+            ("seed", U64(seed)),
+            ("threads", Usize(threads)),
+        ]
+    }
+
+    /// Every field's key, value and width, in declaration order.
+    pub fn fields(&self) -> [SimField; Self::NUM_FIELDS] {
+        let mut copy = *self;
+        copy.field_refs().map(|(key, field)| {
+            let (value, width) = match field {
+                FieldRef::Usize(v) => (*v as u64, FieldWidth::Usize),
+                FieldRef::U32(v) => (u64::from(*v), FieldWidth::U32),
+                FieldRef::U64(v) => (*v, FieldWidth::U64),
+            };
+            SimField { key, value, width }
+        })
+    }
+
+    /// Sets the field named `key` to `value`. Errors name the key when
+    /// it is unknown or `value` does not fit the field's width; domain
+    /// bounds are [`SimConfig::validate`]'s.
+    pub fn set(&mut self, key: &str, value: u64) -> Result<(), String> {
+        let (_, field) = self
+            .field_refs()
+            .into_iter()
+            .find(|(k, _)| *k == key)
+            .ok_or_else(|| format!("unknown sim key {key:?}"))?;
+        let fits = match field {
+            FieldRef::Usize(v) => usize::try_from(value).map(|x| *v = x).is_ok(),
+            FieldRef::U32(v) => u32::try_from(value).map(|x| *v = x).is_ok(),
+            FieldRef::U64(v) => {
+                *v = value;
+                true
+            }
+        };
+        fits.then_some(())
+            .ok_or_else(|| format!("sim.{key} = {value} is too large for the field"))
+    }
+
+    /// Checks every domain bound the engine relies on: `num_vcs` in
+    /// `1..=`[`MAX_VCS`], `packet_size` in `1..=`[`MAX_PACKET_SIZE`],
+    /// `measure ≥ 1`, and `warmup + measure + drain` within the
+    /// engine's `u32` cycle counter. The error names the field.
+    pub fn validate(&self) -> Result<(), String> {
+        self.validate_chain(1)
+    }
+
+    /// [`SimConfig::validate`] for `phases` warm-up + measure + drain
+    /// phases chained on one simulator ([`LoadSweep::run_warm`]).
+    pub fn validate_chain(&self, phases: usize) -> Result<(), String> {
+        if !(1..=MAX_VCS).contains(&self.num_vcs) {
+            return Err(format!(
+                "num_vcs must be in 1..={MAX_VCS} (VC ids are 8-bit in the simulator), got {}",
+                self.num_vcs
+            ));
+        }
+        if !(1..=MAX_PACKET_SIZE).contains(&self.packet_size) {
+            return Err(format!(
+                "packet_size must be in 1..={MAX_PACKET_SIZE} flits, got {}",
+                self.packet_size
+            ));
+        }
+        if self.measure == 0 {
+            return Err("measure must be at least 1 cycle".into());
+        }
+        let phase = u64::from(self.warmup) + u64::from(self.measure) + u64::from(self.drain);
+        if phase.saturating_mul(phases as u64) > u64::from(u32::MAX) {
+            let chain = match phases {
+                1 => String::new(),
+                n => format!(" × {n} warm-started loads"),
+            };
+            return Err(format!(
+                "warmup + measure + drain = {phase} cycles{chain} exceeds the engine's u32 \
+                 cycle counter"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -1139,7 +1293,8 @@ pub struct Simulator<'a> {
 impl<'a> Simulator<'a> {
     /// Builds a simulator. `tables` must be built over `net.graph`;
     /// `router` is the pluggable routing policy (build one directly or
-    /// through `sf_routing::RoutingSpec::build`).
+    /// through `sf_routing::RoutingSpec::build`). Panics when `cfg`
+    /// fails [`SimConfig::validate`].
     pub fn new(
         net: &'a Network,
         tables: &'a RoutingTables,
@@ -1151,16 +1306,9 @@ impl<'a> Simulator<'a> {
         assert_eq!(tables.num_routers(), net.num_routers());
         assert_eq!(pattern.num_endpoints() as usize, net.num_endpoints());
         assert!((0.0..=1.0).contains(&load));
-        assert!(
-            (1..=MAX_PACKET_SIZE).contains(&cfg.packet_size),
-            "packet_size must be in 1..={MAX_PACKET_SIZE}, got {}",
-            cfg.packet_size
-        );
-        assert!(
-            (1..=MAX_VCS).contains(&cfg.num_vcs),
-            "num_vcs must be in 1..={MAX_VCS}, got {}",
-            cfg.num_vcs
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("invalid SimConfig: {e}");
+        }
         let nr = net.num_routers();
         let nvc = cfg.num_vcs;
         let vc_cap = (cfg.buf_per_port / nvc).max(1);
@@ -2419,7 +2567,7 @@ impl<'a> Simulator<'a> {
         // Administratively dropped sample packets count as resolved:
         // a fault that disconnects traffic must not read as saturation.
         let drained = m.sample_ejected + m.sample_dropped >= m.sample_generated;
-        let mcycles = self.ctx.cfg.measure.max(1) as f64;
+        let mcycles = self.ctx.cfg.measure as f64;
         let mut max_util = 0.0f64;
         let mut sum_util = 0.0f64;
         for &c in &self.link_flits {
@@ -2489,6 +2637,9 @@ impl LoadSweep {
         loads: &[f64],
         cfg: SimConfig,
     ) -> Vec<SimResult> {
+        if let Err(e) = cfg.validate_chain(loads.len()) {
+            panic!("invalid SimConfig: {e}");
+        }
         let mut out = Vec::with_capacity(loads.len());
         let mut sim: Option<Simulator> = None;
         for &load in loads {
@@ -2897,6 +3048,81 @@ mod tests {
         let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
         let mut cfg = quick_cfg(24);
         cfg.packet_size = 0;
+        let _ = Simulator::new(&net, &tables, &MinRouter, &pat, 0.1, cfg);
+    }
+
+    #[test]
+    fn field_table_lists_every_field_and_sets_round_trip() {
+        let base = SimConfig::default();
+        let fields = base.fields();
+        let keys: Vec<_> = fields.iter().map(|f| f.key).collect();
+        let mut uniq = keys.clone();
+        uniq.sort_unstable();
+        uniq.dedup();
+        assert_eq!(uniq.len(), SimConfig::NUM_FIELDS, "{keys:?}");
+        assert_eq!(fields[0].value, base.num_vcs as u64);
+        // Setting each field to a distinct value changes exactly that
+        // field, so no two rows alias one struct member.
+        for (i, f) in fields.iter().enumerate() {
+            let mut cfg = base;
+            cfg.set(f.key, f.value + 1).unwrap();
+            for (j, g) in cfg.fields().iter().enumerate() {
+                let want = fields[j].value + u64::from(i == j);
+                assert_eq!(g.value, want, "set({}) moved {}", f.key, g.key);
+            }
+        }
+        let mut cfg = base;
+        assert!(cfg.set("wat", 1).unwrap_err().contains("wat"));
+        let err = cfg.set("warmup", u64::from(u32::MAX) + 1).unwrap_err();
+        assert!(err.contains("warmup"), "{err}");
+        assert_eq!(cfg, base, "a rejected set leaves the config alone");
+        cfg.set("seed", u64::MAX).unwrap();
+        assert_eq!(cfg.seed, u64::MAX);
+    }
+
+    #[test]
+    fn validate_owns_every_domain_bound() {
+        assert_eq!(SimConfig::default().validate(), Ok(()));
+        let bad = |f: fn(&mut SimConfig), needle: &str| {
+            let mut cfg = SimConfig::default();
+            f(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(needle), "{err} (wanted {needle:?})");
+        };
+        bad(|c| c.num_vcs = 0, "num_vcs");
+        bad(|c| c.num_vcs = MAX_VCS + 1, "num_vcs");
+        bad(|c| c.packet_size = 0, "packet_size");
+        bad(|c| c.packet_size = MAX_PACKET_SIZE + 1, "packet_size");
+        bad(|c| c.measure = 0, "measure");
+        bad(
+            |c| {
+                c.warmup = u32::MAX;
+                c.measure = 1;
+            },
+            "warmup + measure + drain",
+        );
+        // The window may fill the counter exactly, once.
+        let edge = SimConfig {
+            warmup: u32::MAX - 2,
+            measure: 1,
+            drain: 1,
+            ..SimConfig::default()
+        };
+        assert_eq!(edge.validate(), Ok(()));
+        let err = edge.validate_chain(2).unwrap_err();
+        assert!(err.contains("× 2 warm-started loads"), "{err}");
+        let cfg = SimConfig::default();
+        assert_eq!(cfg.validate_chain(100), Ok(()));
+        assert!(cfg.validate_chain(1_000_000).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "measure")]
+    fn zero_measurement_window_is_rejected() {
+        let (net, tables) = small_sf();
+        let pat = TrafficPattern::uniform(net.num_endpoints() as u32);
+        let mut cfg = quick_cfg(24);
+        cfg.measure = 0;
         let _ = Simulator::new(&net, &tables, &MinRouter, &pat, 0.1, cfg);
     }
 

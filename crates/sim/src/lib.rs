@@ -32,7 +32,7 @@ pub mod engine;
 pub mod stats;
 
 pub use engine::{
-    hop_vc, vc_base_slack, LoadSweep, SimConfig, SimResult, Simulator, ADAPTIVE_HOP_BUDGET,
-    ENGINE_EPOCH, ENGINE_SHARDS, MAX_PACKET_SIZE, MAX_VCS,
+    hop_vc, vc_base_slack, FieldWidth, LoadSweep, SimConfig, SimField, SimResult, Simulator,
+    ADAPTIVE_HOP_BUDGET, ENGINE_EPOCH, ENGINE_SHARDS, MAX_PACKET_SIZE, MAX_VCS,
 };
 pub use stats::LatencyStats;

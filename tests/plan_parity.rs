@@ -198,3 +198,61 @@ fn warm_start_flag_changes_only_non_first_chain_loads() {
     );
     assert!(warm_records[1].accepted > 0.0);
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins what a refactor of the plan or cache layers must not move: for
+/// every `figures/*.toml`, its job count, the FNV-1a of its canonical
+/// TOML and an FNV-1a over the hex of every job's cache key (in job
+/// order) must match `tests/golden/plan_keys.txt`. Each canonical TOML
+/// must also re-parse to an equal plan. Regenerate (only when a change
+/// is meant to re-key the cache) with
+/// `SF_BLESS=1 cargo test --test plan_parity figure_plans`.
+#[test]
+fn figure_plans_keep_their_canonical_toml_and_cache_keys() {
+    let mut paths: Vec<_> = std::fs::read_dir(repo_file("figures"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("toml"))
+        .collect();
+    paths.sort();
+    let mut got = String::new();
+    for path in &paths {
+        let plan = ExperimentPlan::from_path(path).unwrap();
+        let toml = plan.to_toml_string();
+        assert_eq!(
+            ExperimentPlan::from_toml_str(&toml).unwrap(),
+            plan,
+            "{}: canonical TOML does not re-parse to the same plan:\n{toml}",
+            path.display()
+        );
+        let set = plan.expand().unwrap();
+        let keys: String = set
+            .jobs()
+            .iter()
+            .map(|j| set.job_key(j).to_string())
+            .collect();
+        got.push_str(&format!(
+            "{} jobs={} toml={:016x} keys={:016x}\n",
+            path.file_name().unwrap().to_string_lossy(),
+            set.jobs().len(),
+            fnv1a(toml.as_bytes()),
+            fnv1a(keys.as_bytes())
+        ));
+    }
+    let golden = repo_file("tests/golden/plan_keys.txt");
+    if std::env::var_os("SF_BLESS").is_some() {
+        std::fs::write(&golden, &got).unwrap();
+    }
+    let want =
+        std::fs::read_to_string(&golden).expect("golden file missing — regenerate with SF_BLESS=1");
+    assert_eq!(
+        got, want,
+        "plan TOML or cache keys drifted from tests/golden/plan_keys.txt"
+    );
+}
