@@ -2,7 +2,7 @@
 //! data, not binaries.
 //!
 //! Usage:
-//!   `sf-bench run <file.toml|file.json> [--workers N] [--threads N]
+//!   `sf-bench run <file.toml> [--workers N] [--threads N]
 //!                 [--out PATH] [--format csv|jsonl] [--report PATH]
 //!                 [--cache DIR | --no-cache]
 //!                 [--check-sequential] [--quiet]`
@@ -21,10 +21,12 @@
 //! independent, the record stream is byte-identical for any value — CI
 //! exercises exactly that by diffing a `--threads 2` run against
 //! `--threads 1`. A run summary
-//! goes to stderr, keeping stdout pure CSV. `--check-sequential` re-runs
-//! the whole plan sequentially through the single-worker path and
-//! fails unless both record streams are byte-identical — the
-//! scheduler-determinism guard CI exercises on every push.
+//! goes to stderr, keeping stdout pure CSV; a consumer that hangs up
+//! (`sf-bench run … | head`) ends the run quietly with exit 0.
+//! `--check-sequential` re-runs the whole plan on one worker through
+//! the same scheduler loop and fails unless both record streams are
+//! byte-identical — the scheduler-determinism guard CI exercises on
+//! every push.
 //!
 //! `run` consults a persistent content-addressed **result cache** when
 //! one is configured: `--cache DIR` names the directory explicitly,
@@ -65,7 +67,7 @@
 //! a plan's seeded outcome can be read against the population
 //! statistics it was drawn from.
 
-use sf_bench::{print_raw_line, run_cli, StdoutCsvSink};
+use sf_bench::{print_raw_line, run_cli};
 use slimfly::cache::ResultCache;
 use slimfly::plan::ExperimentPlan;
 use slimfly::report::render_plan_report;
@@ -81,7 +83,7 @@ fn main() {
         Some("survive") => cmd_survive(args),
         Some("cache") => cmd_cache(args),
         _ => Err(SfError::Cli(
-            "usage: sf-bench <run|validate|verify|survive|cache> <file.toml|file.json> ...".into(),
+            "usage: sf-bench <run|validate|verify|survive|cache> <file.toml> ...".into(),
         )),
     })
 }
@@ -139,34 +141,27 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
         );
     }
 
-    // Tee over borrowed sinks: stdout stays readable afterwards (it
-    // collects the records for --report/--check-sequential).
-    let mut stdout_sink = StdoutCsvSink {
-        quiet,
-        collect: report_path.is_some() || check_sequential,
-        records: Vec::new(),
-    };
-    let mut file_sink: Option<Box<dyn RecordSink>> = match &out {
-        None => None,
-        Some(path) => {
+    // CSV to stdout (unless --quiet) and to --out; the tee borrows a
+    // memory copy for --report and --check-sequential.
+    let mut memory = MemorySink::new();
+    let report = {
+        let mut sinks: Vec<Box<dyn RecordSink + '_>> = Vec::new();
+        if !quiet {
+            sinks.push(Box::new(CsvSink::new(std::io::stdout())));
+        }
+        if let Some(path) = &out {
             let path = Path::new(path);
-            Some(match format.as_str() {
+            sinks.push(match format.as_str() {
                 "jsonl" => Box::new(JsonLinesSink::create(path)?),
                 _ => Box::new(CsvSink::create(path)?),
-            })
+            });
         }
-    };
-    let report = {
-        let mut sinks: Vec<Box<dyn RecordSink + '_>> = vec![Box::new(&mut stdout_sink)];
-        if let Some(f) = file_sink.as_mut() {
-            sinks.push(Box::new(&mut **f));
-        }
-        let mut tee = TeeSink::new(sinks);
+        sinks.push(Box::new(&mut memory));
         Scheduler::new(workers)
             .with_cache(cache.clone())
-            .run(&mut set, &mut tee)?
+            .run(&mut set, &mut TeeSink::new(sinks))?
     };
-    let records = stdout_sink.records;
+    let records = memory.into_records();
     eprintln!(
         "sf-bench run {file}: {} jobs, {} records, workers={}, steals={}, wall={:.1}s",
         report.jobs,
@@ -199,7 +194,7 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
     }
 
     if check_sequential {
-        // Re-run the same prepared set sequentially: run_job is
+        // Re-run the same prepared set on one worker: run_job is
         // read-only, so networks/tables/routers/patterns are reused
         // and only the simulations repeat. Deliberately cache-free —
         // the reference stream must come from real simulation, so
@@ -210,7 +205,7 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
         let want: Vec<String> = ref_sink.records().iter().map(|r| r.to_csv()).collect();
         if got != want {
             return Err(SfError::Experiment(format!(
-                "scheduler record stream diverges from the sequential path \
+                "scheduler record stream diverges from the one-worker run \
                  ({} vs {} records, first difference at row {})",
                 got.len(),
                 want.len(),
@@ -222,7 +217,7 @@ fn cmd_run(args: &sf_bench::SweepArgs) -> Result<(), SfError> {
             )));
         }
         eprintln!(
-            "sf-bench: --check-sequential OK ({} records byte-identical to the sequential path)",
+            "sf-bench: --check-sequential OK ({} records byte-identical to the one-worker run)",
             got.len()
         );
     }

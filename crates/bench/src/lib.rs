@@ -56,51 +56,22 @@ pub fn f(v: f64) -> String {
     slimfly::experiment::fmt_float(v)
 }
 
-/// A [`slimfly::sink::RecordSink`] that streams CSV rows to stdout as
-/// jobs finish (broken-pipe-safe like every bench binary) and
-/// optionally keeps a copy of the records for post-processing (report
-/// generation, parity checks).
-#[derive(Default)]
-pub struct StdoutCsvSink {
-    /// Suppress stdout (still collects when `collect` is set).
-    pub quiet: bool,
-    /// Keep records in [`StdoutCsvSink::records`].
-    pub collect: bool,
-    /// Collected records (when `collect`).
-    pub records: Vec<Record>,
-}
-
-impl slimfly::sink::RecordSink for StdoutCsvSink {
-    fn begin(&mut self) -> Result<(), SfError> {
-        if !self.quiet {
-            print_raw_line(Record::CSV_HEADER);
-        }
-        Ok(())
-    }
-
-    fn record(&mut self, r: &Record) -> Result<(), SfError> {
-        if !self.quiet {
-            print_raw_line(&r.to_csv());
-        }
-        if self.collect {
-            self.records.push(r.clone());
-        }
-        Ok(())
-    }
-}
-
 /// Runs a bench body with parsed [`SweepArgs`], reporting any
 /// [`SfError`] on stderr with a non-zero exit code — the shared `main`
 /// of every binary in this crate. After the body succeeds, any
 /// `--flag` the body never queried is reported as an unknown flag
 /// (so `--trafic` typos fail loudly instead of silently producing the
-/// default sweep).
+/// default sweep). A record sink whose consumer hung up (`sf-bench run
+/// … | head`) is a quiet exit 0, like [`print_raw_line`]'s.
 pub fn run_cli(body: impl FnOnce(&SweepArgs) -> Result<(), SfError>) {
     let args = SweepArgs::parse();
-    let result = body(&args).and_then(|()| args.check_unknown_flags());
-    if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(2);
+    match body(&args).and_then(|()| args.check_unknown_flags()) {
+        Ok(()) => {}
+        Err(SfError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
     }
 }
 

@@ -19,9 +19,6 @@
 //! is no serde integration — parsing yields a [`Value`] tree that
 //! callers walk by hand, and [`Value::to_toml_string`] renders a tree
 //! back to a document.
-//!
-//! The sibling [`json`] module parses JSON into the same [`Value`]
-//! tree, so a loader accepts both formats through one interpreter.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,7 +27,7 @@ use std::fmt;
 /// order independent of insertion order).
 pub type Map = BTreeMap<String, Value>;
 
-/// A parsed TOML (or JSON) value.
+/// A parsed TOML value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// A string.
@@ -644,210 +641,6 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-/// JSON parsing into the same [`Value`] tree (objects become tables;
-/// integral numbers without `.`/exponent become [`Value::Integer`]).
-pub mod json {
-    use super::{utf8_len, Map, TomlError, Value};
-
-    /// Parses a JSON document (any top-level value).
-    pub fn from_str(text: &str) -> Result<Value, TomlError> {
-        let mut p = P {
-            s: text.as_bytes(),
-            i: 0,
-            line: 1,
-        };
-        p.ws();
-        let v = p.value()?;
-        p.ws();
-        if p.i < p.s.len() {
-            return Err(p.err("trailing characters after JSON value".into()));
-        }
-        Ok(v)
-    }
-
-    struct P<'a> {
-        s: &'a [u8],
-        i: usize,
-        line: usize,
-    }
-
-    impl<'a> P<'a> {
-        fn err(&self, msg: String) -> TomlError {
-            TomlError {
-                line: self.line,
-                msg,
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.s.get(self.i).copied()
-        }
-
-        fn bump(&mut self) -> Option<u8> {
-            let b = self.peek()?;
-            self.i += 1;
-            if b == b'\n' {
-                self.line += 1;
-            }
-            Some(b)
-        }
-
-        fn ws(&mut self) {
-            while matches!(
-                self.peek(),
-                Some(b' ') | Some(b'\t') | Some(b'\n') | Some(b'\r')
-            ) {
-                self.bump();
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), TomlError> {
-            match self.bump() {
-                Some(got) if got == b => Ok(()),
-                got => Err(self.err(format!(
-                    "expected {:?}, found {:?}",
-                    b as char,
-                    got.map(|g| g as char)
-                ))),
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, TomlError> {
-            self.ws();
-            match self.peek() {
-                None => Err(self.err("expected a JSON value".into())),
-                Some(b'"') => Ok(Value::String(self.string()?)),
-                Some(b'[') => {
-                    self.bump();
-                    let mut items = Vec::new();
-                    self.ws();
-                    if self.peek() == Some(b']') {
-                        self.bump();
-                        return Ok(Value::Array(items));
-                    }
-                    loop {
-                        items.push(self.value()?);
-                        self.ws();
-                        match self.bump() {
-                            Some(b',') => {}
-                            Some(b']') => return Ok(Value::Array(items)),
-                            other => {
-                                return Err(self.err(format!(
-                                    "expected ',' or ']', found {:?}",
-                                    other.map(|b| b as char)
-                                )))
-                            }
-                        }
-                    }
-                }
-                Some(b'{') => {
-                    self.bump();
-                    let mut table = Map::new();
-                    self.ws();
-                    if self.peek() == Some(b'}') {
-                        self.bump();
-                        return Ok(Value::Table(table));
-                    }
-                    loop {
-                        self.ws();
-                        let key = self.string()?;
-                        self.ws();
-                        self.expect(b':')?;
-                        let v = self.value()?;
-                        if table.insert(key.clone(), v).is_some() {
-                            return Err(self.err(format!("duplicate key {key:?}")));
-                        }
-                        self.ws();
-                        match self.bump() {
-                            Some(b',') => {}
-                            Some(b'}') => return Ok(Value::Table(table)),
-                            other => {
-                                return Err(self.err(format!(
-                                    "expected ',' or '}}', found {:?}",
-                                    other.map(|b| b as char)
-                                )))
-                            }
-                        }
-                    }
-                }
-                Some(b't') | Some(b'f') | Some(b'n') | Some(_) => {
-                    let start = self.i;
-                    while matches!(self.peek(),
-                        Some(b) if !matches!(b, b',' | b']' | b'}' | b' ' | b'\t' | b'\n' | b'\r'))
-                    {
-                        self.bump();
-                    }
-                    let tok = String::from_utf8_lossy(&self.s[start..self.i]).into_owned();
-                    match tok.as_str() {
-                        "true" => return Ok(Value::Boolean(true)),
-                        "false" => return Ok(Value::Boolean(false)),
-                        "null" => return Err(self.err("null is not representable".into())),
-                        _ => {}
-                    }
-                    if !tok.contains(['.', 'e', 'E']) {
-                        if let Ok(i) = tok.parse::<i64>() {
-                            return Ok(Value::Integer(i));
-                        }
-                    }
-                    tok.parse::<f64>()
-                        .map(Value::Float)
-                        .map_err(|_| self.err(format!("cannot parse JSON token {tok:?}")))
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, TomlError> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bump() {
-                    None => return Err(self.err("unterminated string".into())),
-                    Some(b'"') => return Ok(out),
-                    Some(b'\\') => match self.bump() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let d = self
-                                    .bump()
-                                    .and_then(|b| (b as char).to_digit(16))
-                                    .ok_or_else(|| self.err("bad \\u escape".into()))?;
-                                code = code * 16 + d;
-                            }
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("bad \\u code point".into()))?,
-                            );
-                        }
-                        other => {
-                            return Err(self.err(format!(
-                                "unsupported escape \\{:?}",
-                                other.map(|b| b as char)
-                            )))
-                        }
-                    },
-                    Some(b) if b < 0x80 => out.push(b as char),
-                    Some(b) => {
-                        let len = utf8_len(b);
-                        let start = self.i - 1;
-                        for _ in 1..len {
-                            self.bump();
-                        }
-                        out.push_str(&String::from_utf8_lossy(&self.s[start..self.i]));
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -968,24 +761,5 @@ mod tests {
         assert!(err.msg.contains("conflicts"));
         assert_eq!(err.line, 2);
         assert!(from_str("x = [1, 2\n").is_err());
-    }
-
-    #[test]
-    fn json_parses_into_same_tree() {
-        let j = r#"{"figure": {"name": "fig8"}, "sweep": [{"topo": "sf:q=7", "loads": [0.1, 0.5], "warm_start": false, "n": 3}]}"#;
-        let v = json::from_str(j).unwrap();
-        assert_eq!(
-            v.get("figure").unwrap().get("name").unwrap().as_str(),
-            Some("fig8")
-        );
-        let sw = &v.get("sweep").unwrap().as_array().unwrap()[0];
-        assert_eq!(
-            sw.get("loads").unwrap().as_array().unwrap()[1].as_float(),
-            Some(0.5)
-        );
-        assert_eq!(sw.get("warm_start").unwrap().as_bool(), Some(false));
-        assert_eq!(sw.get("n").unwrap().as_int(), Some(3));
-        assert!(json::from_str("{\"a\": null}").is_err());
-        assert!(json::from_str("[1, 2,]").is_err());
     }
 }

@@ -217,23 +217,6 @@ impl Record {
     }
 }
 
-/// Writes records as a CSV table (header + one row per record).
-pub fn write_csv<W: std::io::Write>(records: &[Record], mut w: W) -> Result<(), SfError> {
-    writeln!(w, "{}", Record::CSV_HEADER)?;
-    for r in records {
-        writeln!(w, "{}", r.to_csv())?;
-    }
-    Ok(())
-}
-
-/// Writes records as JSON lines (one object per line).
-pub fn write_json_lines<W: std::io::Write>(records: &[Record], mut w: W) -> Result<(), SfError> {
-    for r in records {
-        writeln!(w, "{}", r.to_json())?;
-    }
-    Ok(())
-}
-
 /// Analytic (flow-model) summary of a topology, from
 /// [`Experiment::flow`].
 #[derive(Clone, Debug)]
@@ -348,10 +331,9 @@ impl Experiment {
     }
 
     /// Adds one routing scheme to the sweep (replaces the MIN default
-    /// on first call; call repeatedly to compare schemes). Accepts a
-    /// [`RoutingSpec`] or a legacy `RouteAlgo` value.
-    pub fn routing(mut self, spec: impl Into<RoutingSpec>) -> Self {
-        self.routings.push(RoutingChoice::Spec(spec.into()));
+    /// on first call; call repeatedly to compare schemes).
+    pub fn routing(mut self, spec: RoutingSpec) -> Self {
+        self.routings.push(RoutingChoice::Spec(spec));
         self
     }
 
@@ -548,7 +530,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sf_routing::RouteAlgo;
+    use crate::sink::{CsvSink, JsonLinesSink, RecordSink};
 
     fn quick_sim() -> SimConfig {
         SimConfig {
@@ -562,8 +544,8 @@ mod tests {
     #[test]
     fn run_produces_one_record_per_algo_and_load() {
         let records = Experiment::on(TopologySpec::slimfly(5))
-            .routing(RouteAlgo::Min)
-            .routing(RouteAlgo::Valiant { cap3: false })
+            .routing(RoutingSpec::Min)
+            .routing(RoutingSpec::Valiant { cap3: false })
             .loads(&[0.1, 0.2])
             .sim(quick_sim())
             .run()
@@ -686,6 +668,15 @@ mod tests {
         assert_eq!(records[0].traffic, "worst-dln");
     }
 
+    /// Streams `records` through a sink's whole lifecycle.
+    fn write_all(sink: &mut dyn RecordSink, records: &[Record]) {
+        sink.begin().unwrap();
+        for r in records {
+            sink.record(r).unwrap();
+        }
+        sink.finish().unwrap();
+    }
+
     #[test]
     fn csv_and_json_serialization() {
         let records = Experiment::on(TopologySpec::slimfly(5))
@@ -694,14 +685,14 @@ mod tests {
             .run()
             .unwrap();
         let mut csv = Vec::new();
-        write_csv(&records, &mut csv).unwrap();
+        write_all(&mut CsvSink::new(&mut csv), &records);
         let csv = String::from_utf8(csv).unwrap();
         assert!(csv.starts_with(Record::CSV_HEADER));
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.contains("sf:q=5"));
 
         let mut json = Vec::new();
-        write_json_lines(&records, &mut json).unwrap();
+        write_all(&mut JsonLinesSink::new(&mut json), &records);
         let json = String::from_utf8(json).unwrap();
         assert!(json.trim().starts_with('{') && json.trim().ends_with('}'));
         assert!(json.contains("\"spec\":\"sf:q=5\""));

@@ -72,7 +72,7 @@
 //!
 //! * [`spec`] — [`TopologySpec`], the declarative constructor registry;
 //! * [`experiment`] — the fluent [`Experiment`] builder and [`Record`]s;
-//! * [`plan`] — [`ExperimentPlan`]: whole figures as TOML/JSON data,
+//! * [`plan`] — [`ExperimentPlan`]: whole figures as TOML data,
 //!   expanded to a deterministic [`JobSet`];
 //! * [`schedule`] — the work-stealing [`Scheduler`] executing job sets
 //!   on persistent workers;
@@ -120,7 +120,7 @@ pub use spec::TopologySpec;
 pub mod prelude {
     pub use crate::cache::{CacheKey, ResultCache};
     pub use crate::error::SfError;
-    pub use crate::experiment::{write_csv, write_json_lines, Experiment, FlowSummary, Record};
+    pub use crate::experiment::{Experiment, FlowSummary, Record};
     pub use crate::plan::{Backend, ExperimentPlan, FaultPlan, Job, JobSet, SweepPlan};
     pub use crate::schedule::Scheduler;
     pub use crate::sink::{CsvSink, JsonLinesSink, MemorySink, RecordSink, TeeSink};
@@ -133,7 +133,7 @@ pub mod prelude {
     };
     pub use sf_graph::{metrics, partition, Graph};
     pub use sf_routing::{
-        AdaptiveEcmpRouter, FatPathsRouter, MinRouter, QueueView, RouteAlgo, Router, RoutingError,
+        AdaptiveEcmpRouter, FatPathsRouter, MinRouter, QueueView, Router, RoutingError,
         RoutingSpec, RoutingTables, UgalRouter, ValiantRouter,
     };
     pub use sf_sim::{LoadSweep, SimConfig, Simulator};

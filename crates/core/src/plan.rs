@@ -3,7 +3,7 @@
 //! A plan is the checked-in, runnable description of a whole paper
 //! figure — a list of sweeps, each a cross-product of topologies ×
 //! routings × one traffic pattern × offered loads under one simulator
-//! configuration. Plans parse from TOML or JSON experiment files
+//! configuration. Plans parse from TOML experiment files
 //! ([`ExperimentPlan::from_path`]), print back to canonical TOML
 //! ([`ExperimentPlan::to_toml_string`]), and expand to a flat,
 //! deterministic [`JobSet`] ([`ExperimentPlan::expand`]) that the
@@ -97,9 +97,7 @@
 //! and the `val:cap3` ablation have no flow lowering and are rejected
 //! at [`ExperimentPlan::expand`] with a typed [`SfError::Flow`].
 //!
-//! The same structure as a JSON object (`{"figure": {...}, "sweep":
-//! [...]}`) parses through [`ExperimentPlan::from_json_str`]. Leaf
-//! values reuse the workspace string grammars: topologies are
+//! Leaf values reuse the workspace string grammars: topologies are
 //! [`TopologySpec`] strings, routings [`RoutingSpec`] strings, traffic
 //! a [`TrafficSpec`] name.
 //!
@@ -340,25 +338,19 @@ impl ExperimentPlan {
         Self::from_value(&value)
     }
 
-    /// Parses a JSON experiment file (same schema as the TOML form).
-    pub fn from_json_str(text: &str) -> Result<Self, SfError> {
-        let value = toml::json::from_str(text).map_err(|e| SfError::Plan(e.to_string()))?;
-        Self::from_value(&value)
-    }
-
-    /// Loads a plan from a `.toml` or `.json` file (dispatching on the
-    /// extension).
+    /// Loads a plan from a `.toml` file; any other extension is a
+    /// typed [`SfError::Plan`].
     pub fn from_path(path: &Path) -> Result<Self, SfError> {
+        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
+        if ext != "toml" {
+            return Err(SfError::Plan(format!(
+                "{}: unsupported experiment-file extension {ext:?} (expected .toml)",
+                path.display()
+            )));
+        }
         let text = std::fs::read_to_string(path)
             .map_err(|e| SfError::Plan(format!("cannot read {}: {e}", path.display())))?;
-        let parsed = match path.extension().and_then(|e| e.to_str()) {
-            Some("toml") => Self::from_toml_str(&text),
-            Some("json") => Self::from_json_str(&text),
-            other => Err(SfError::Plan(format!(
-                "unsupported experiment-file extension {other:?} (expected .toml or .json)"
-            ))),
-        };
-        parsed.map_err(|e| match e {
+        Self::from_toml_str(&text).map_err(|e| match e {
             SfError::Plan(msg) => SfError::Plan(format!("{}: {msg}", path.display())),
             e => e,
         })
@@ -1557,15 +1549,15 @@ mod tests {
     }
 
     #[test]
-    fn json_form_parses_identically() {
-        let json = r#"{
-            "figure": {"name": "smoke"},
-            "sweep": [{"topo": "sf:q=5", "routing": ["min"], "loads": [0.1], "sim": {"warmup": 100}}]
-        }"#;
-        let plan = ExperimentPlan::from_json_str(json).unwrap();
-        assert_eq!(plan.name, "smoke");
-        assert_eq!(plan.sweeps[0].sim.warmup, 100);
-        assert_eq!(plan.sweeps[0].loads, vec![0.1]);
+    fn non_toml_files_are_a_typed_plan_error() {
+        // TOML is the only plan format: a JSON file is refused by its
+        // extension, before it is read.
+        for (file, ext) in [("fig.json", "\"json\""), ("fig", "\"\"")] {
+            let err = ExperimentPlan::from_path(Path::new(file)).unwrap_err();
+            assert!(matches!(err, SfError::Plan(_)), "{file} → {err}");
+            let msg = err.to_string();
+            assert!(msg.contains(file) && msg.contains(ext), "{file} → {msg}");
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! own work from the front, and **steals from the back of a sibling's
 //! deque** when it runs dry — so a heterogeneous sweep (a saturated
 //! load next to one that drains instantly) keeps every core busy
-//! instead of leaving stragglers with a pre-assigned chunk, replacing
-//! the fixed-chunk scoped-thread loop the offline `rayon` stand-in
-//! used for sweeps.
+//! instead of leaving stragglers with a pre-assigned chunk. The same
+//! loop runs for every worker count: a one-worker run is one scoped
+//! worker thread feeding the calling thread's reorder frontier.
 //!
 //! # Deterministic streaming
 //!
@@ -28,7 +28,7 @@
 //! max(engine threads over the jobs)` — workers × engine threads
 //! never exceeds the core count unless the operator explicitly asks:
 //! a nonzero `Scheduler::new` argument (`--workers`) or an
-//! `SF_WORKERS`/`RAYON_NUM_THREADS` override is honored verbatim.
+//! `SF_WORKERS` override is honored verbatim.
 //! The clamp only moves wall-clock time, never output: both layers
 //! are deterministic for any thread/worker count.
 //!
@@ -52,7 +52,7 @@ use crate::experiment::Record;
 use crate::plan::JobSet;
 use crate::sink::RecordSink;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -62,10 +62,10 @@ use std::time::{Duration, Instant};
 pub struct Scheduler {
     workers: usize,
     /// Whether `workers` was requested explicitly (constructor arg or
-    /// `SF_WORKERS`/`RAYON_NUM_THREADS`). Explicit counts are honored
-    /// verbatim; the machine-derived default additionally clamps
-    /// against the jobs' engine thread counts in [`Scheduler::run`] so
-    /// scheduler workers × engine threads never oversubscribe
+    /// `SF_WORKERS`). Explicit counts are honored verbatim; the
+    /// machine-derived default additionally clamps against the jobs'
+    /// engine thread counts in [`Scheduler::run`] so scheduler
+    /// workers × engine threads never oversubscribe
     /// `available_parallelism` unless the operator asked for it.
     explicit: bool,
     /// Optional persistent result cache, consulted per job before any
@@ -130,30 +130,22 @@ impl Scheduler {
         self.cache.as_ref()
     }
 
-    /// The environment override, if any: `SF_WORKERS` if set, else
-    /// `RAYON_NUM_THREADS` (the knob the sweep loops honoured before
-    /// the scheduler existed).
+    /// The environment override, if any: a positive `SF_WORKERS`.
     fn env_workers() -> Option<usize> {
-        for var in ["SF_WORKERS", "RAYON_NUM_THREADS"] {
-            if let Some(n) = std::env::var(var)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n > 0)
-            {
-                return Some(n);
-            }
-        }
-        None
+        std::env::var("SF_WORKERS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
     }
 
     /// The environment-driven default worker count: `SF_WORKERS` if
-    /// set, else `RAYON_NUM_THREADS`, else the machine's available
-    /// parallelism. When neither variable is set the count is treated
-    /// as machine-derived, and [`Scheduler::run`] additionally divides
-    /// it by the largest engine thread count among the jobs, so a sweep
-    /// of `threads = 4` simulations on an 8-core box runs 2 workers ×
-    /// 4 engine threads instead of 8 × 4 = 32 runnable threads (the
-    /// `dev-sched` 0.86× oversubscription regression).
+    /// set, else the machine's available parallelism. When the
+    /// variable is not set the count is treated as machine-derived,
+    /// and [`Scheduler::run`] additionally divides it by the largest
+    /// engine thread count among the jobs, so a sweep of `threads = 4`
+    /// simulations on an 8-core box runs 2 workers × 4 engine threads
+    /// instead of 8 × 4 = 32 runnable threads (the `dev-sched` 0.86×
+    /// oversubscription regression).
     pub fn default_workers() -> usize {
         Self::env_workers().unwrap_or_else(|| {
             std::thread::available_parallelism()
@@ -185,10 +177,12 @@ impl Scheduler {
 
     /// Runs every job of `set`, streaming records to `sink` in job-id
     /// order (see the [module docs](self)). Prepares the set if the
-    /// caller has not. On a job failure, workers stop claiming further
-    /// jobs, the lowest failing job's error is returned once in-flight
-    /// jobs drain, and records of complete jobs *preceding* that id
-    /// keep streaming — the completed prefix survives in every sink.
+    /// caller has not. On a job failure, workers skip every job after
+    /// the lowest failing id but still run the jobs before it; that
+    /// job's error is returned once in-flight jobs drain, and the
+    /// records of every job *preceding* it keep streaming — the
+    /// completed prefix survives in every sink, the same for any
+    /// worker count.
     pub fn run(
         &self,
         set: &mut JobSet,
@@ -232,191 +226,81 @@ impl Scheduler {
             .filter(|id| !hits.contains_key(id))
             .collect();
         let workers = self.effective_workers(miss_ids.len(), engine_threads, cores);
-        sink.begin()?;
-        let mut emitted = 0usize;
-        let mut steals = 0usize;
+        // Seed the worker deques round-robin over the *misses* so
+        // consecutive (often similarly heavy) jobs land on different
+        // workers.
+        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
+            .map(|w| Mutex::new(miss_ids.iter().copied().skip(w).step_by(workers).collect()))
+            .collect();
+        let steal_count = AtomicUsize::new(0);
+        // The lowest failing job id so far (`usize::MAX`: none; `0`
+        // after a sink failure). Workers skip every job above it, so a
+        // failing sweep does not burn hours on doomed work, yet every
+        // job below it still runs: the error and the completed prefix
+        // are the same for any worker count.
+        let stop = AtomicUsize::new(usize::MAX);
         let mut cache_store_errors = 0usize;
-        // First error of the run; the completed record prefix reaches
-        // the sink (and gets flushed) even on the error path.
-        let mut run_err: Option<SfError> = None;
-        if workers == 1 || miss_ids.is_empty() {
-            'seq: for job in jobs {
-                let records = match hits.remove(&job.id) {
-                    Some(cached) => cached,
-                    None => match set.run_job(job) {
-                        Ok(records) => {
-                            if let Some(cache) = &self.cache {
-                                if cache.store(&set.job_key(job), &records).is_err() {
-                                    cache_store_errors += 1;
-                                }
-                            }
-                            records
-                        }
-                        Err(e) => {
-                            run_err = Some(e);
-                            break;
-                        }
-                    },
-                };
-                for r in &records {
-                    if let Err(e) = sink.record(r) {
-                        run_err = Some(e);
-                        break 'seq;
-                    }
-                    emitted += 1;
-                }
-            }
-        } else {
-            // Seed the worker deques round-robin over the *misses* so
-            // consecutive (often similarly heavy) jobs land on
-            // different workers.
-            let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-                .map(|w| {
-                    Mutex::new(
-                        miss_ids
-                            .iter()
-                            .copied()
-                            .skip(w)
-                            .step_by(workers)
-                            .collect::<VecDeque<usize>>(),
-                    )
-                })
-                .collect();
-            let steal_count = AtomicUsize::new(0);
-            // Raised on the first failure: workers stop *claiming* new
-            // jobs (in-flight simulations still finish and report), so
-            // a failing sweep does not burn hours on doomed work.
-            let abort = AtomicBool::new(false);
+        let mut frontier = Frontier::new(hits);
+        sink.begin()?;
+        std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel();
-            // Lowest failing job id and its error; records of complete
-            // jobs *below* that id still stream (the completed prefix
-            // survives in every sink). A sink failure stops emission
-            // outright.
-            let mut job_err: Option<(usize, SfError)> = None;
-            let mut sink_err: Option<SfError> = None;
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    let queues = &queues;
-                    let steal_count = &steal_count;
-                    let abort = &abort;
-                    let set: &JobSet = set;
-                    scope.spawn(move || loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Own deque first (front), then steal from the
-                        // back of the first non-empty sibling.
-                        let mut claimed = queues[w].lock().expect("queue poisoned").pop_front();
-                        if claimed.is_none() {
-                            for v in 1..workers {
-                                let victim = (w + v) % workers;
-                                claimed = queues[victim].lock().expect("queue poisoned").pop_back();
-                                if claimed.is_some() {
-                                    steal_count.fetch_add(1, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(id) = claimed else { break };
-                        let result = set.run_job(&set.jobs()[id]);
-                        if tx.send((id, result)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                /// Streams every frontier job whose turn has come:
-                /// records reach the sink strictly in job-id order, up
-                /// to (never past) the lowest failing id.
-                fn drain(
-                    pending: &mut BTreeMap<usize, Vec<Record>>,
-                    next: &mut usize,
-                    sink: &mut dyn RecordSink,
-                    emitted: &mut usize,
-                    job_err: &Option<(usize, SfError)>,
-                    sink_err: &mut Option<SfError>,
-                    abort: &AtomicBool,
-                ) {
-                    'emit: while sink_err.is_none()
-                        && job_err.as_ref().is_none_or(|(eid, _)| *next < *eid)
-                    {
-                        let Some(records) = pending.remove(next) else {
-                            break;
-                        };
-                        for r in &records {
-                            if let Err(e) = sink.record(r) {
-                                *sink_err = Some(e);
-                                abort.store(true, Ordering::Relaxed);
-                                break 'emit;
-                            }
-                            *emitted += 1;
-                        }
-                        *next += 1;
-                    }
-                }
-                // Reorder frontier: stream each completed job the
-                // moment every lower job id has been emitted. Cache
-                // hits are parked here up front; drain once before
-                // listening so an all-hit prefix streams immediately.
-                let mut pending = hits;
-                let mut next = 0usize;
-                drain(
-                    &mut pending,
-                    &mut next,
-                    &mut *sink,
-                    &mut emitted,
-                    &job_err,
-                    &mut sink_err,
-                    &abort,
-                );
-                for (id, result) in rx {
-                    match result {
-                        Ok(records) => {
-                            // Write-through on the emitter thread (the
-                            // workers stay pure simulation); a store
-                            // failure downgrades to a counter.
-                            if let Some(cache) = &self.cache {
-                                if cache.store(&set.job_key(&jobs[id]), &records).is_err() {
-                                    cache_store_errors += 1;
-                                }
-                            }
-                            pending.insert(id, records);
-                            drain(
-                                &mut pending,
-                                &mut next,
-                                &mut *sink,
-                                &mut emitted,
-                                &job_err,
-                                &mut sink_err,
-                                &abort,
-                            );
-                        }
-                        Err(e) => {
-                            abort.store(true, Ordering::Relaxed);
-                            if job_err.as_ref().is_none_or(|(eid, _)| id < *eid) {
-                                job_err = Some((id, e));
+            for w in 0..workers {
+                let tx = tx.clone();
+                let queues = &queues;
+                let steal_count = &steal_count;
+                let stop = &stop;
+                let set: &JobSet = set;
+                scope.spawn(move || loop {
+                    // Own deque first (front), then steal from the
+                    // back of the first non-empty sibling.
+                    let mut claimed = queues[w].lock().expect("queue poisoned").pop_front();
+                    if claimed.is_none() {
+                        for v in 1..workers {
+                            let victim = (w + v) % workers;
+                            claimed = queues[victim].lock().expect("queue poisoned").pop_back();
+                            if claimed.is_some() {
+                                steal_count.fetch_add(1, Ordering::Relaxed);
+                                break;
                             }
                         }
                     }
+                    let Some(id) = claimed else { break };
+                    if id > stop.load(Ordering::Relaxed) {
+                        continue;
+                    }
+                    let result = set.run_job(&set.jobs()[id]);
+                    if result.is_err() {
+                        stop.fetch_min(id, Ordering::Relaxed);
+                    }
+                    if tx.send((id, result)).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+            // Drain once before listening so an all-hit prefix streams
+            // immediately.
+            frontier.drain(&mut *sink, &stop);
+            for (id, result) in rx {
+                match result {
+                    Ok(records) => {
+                        // Write-through on the emitter thread (the
+                        // workers stay pure simulation); a store
+                        // failure downgrades to a counter.
+                        if let Some(cache) = &self.cache {
+                            if cache.store(&set.job_key(&jobs[id]), &records).is_err() {
+                                cache_store_errors += 1;
+                            }
+                        }
+                        frontier.pending.insert(id, records);
+                    }
+                    Err(e) => frontier.fail(id, e),
                 }
-                // Workers are done; a failing run may still have
-                // cache hits parked below the failing id — the
-                // completed-prefix contract covers them too.
-                drain(
-                    &mut pending,
-                    &mut next,
-                    &mut *sink,
-                    &mut emitted,
-                    &job_err,
-                    &mut sink_err,
-                    &abort,
-                );
-            });
-            steals = steal_count.load(Ordering::Relaxed);
-            run_err = sink_err.or(job_err.map(|(_, e)| e));
-        }
-        if let Some(e) = run_err {
+                frontier.drain(&mut *sink, &stop);
+            }
+        });
+        let emitted = frontier.emitted;
+        if let Some(e) = frontier.into_error() {
             // Best-effort flush so the completed prefix reaches disk
             // before the error surfaces (a finish failure here cannot
             // outrank the original error).
@@ -428,12 +312,74 @@ impl Scheduler {
             jobs: jobs.len(),
             records: emitted,
             workers,
-            steals,
+            steals: steal_count.into_inner(),
             cache_hits,
             cache_misses,
             cache_store_errors,
             wall: t0.elapsed(),
         })
+    }
+}
+
+/// The reorder frontier of one [`Scheduler::run`]: completed jobs park
+/// in `pending` until every lower job id has been emitted, then stream
+/// to the sink strictly in job-id order.
+struct Frontier {
+    pending: BTreeMap<usize, Vec<Record>>,
+    /// The next job id to emit.
+    next: usize,
+    /// Records streamed to the sink so far.
+    emitted: usize,
+    /// Lowest failing job id and its error; records of complete jobs
+    /// *below* that id still stream (the completed prefix survives in
+    /// every sink).
+    job_err: Option<(usize, SfError)>,
+    /// A sink failure stops emission outright.
+    sink_err: Option<SfError>,
+}
+
+impl Frontier {
+    fn new(pending: BTreeMap<usize, Vec<Record>>) -> Self {
+        Frontier {
+            pending,
+            next: 0,
+            emitted: 0,
+            job_err: None,
+            sink_err: None,
+        }
+    }
+
+    /// Records job `id`'s failure, keeping the lowest failing id.
+    fn fail(&mut self, id: usize, e: SfError) {
+        if self.job_err.as_ref().is_none_or(|(eid, _)| id < *eid) {
+            self.job_err = Some((id, e));
+        }
+    }
+
+    /// Streams every parked job whose turn has come, up to (never
+    /// past) the lowest failing id. A sink failure sets `stop` to 0 so
+    /// workers skip every job still queued.
+    fn drain(&mut self, sink: &mut dyn RecordSink, stop: &AtomicUsize) {
+        let end = self.job_err.as_ref().map_or(usize::MAX, |(eid, _)| *eid);
+        while self.sink_err.is_none() && self.next < end {
+            let Some(records) = self.pending.remove(&self.next) else {
+                break;
+            };
+            for r in &records {
+                if let Err(e) = sink.record(r) {
+                    self.sink_err = Some(e);
+                    stop.store(0, Ordering::Relaxed);
+                    return;
+                }
+                self.emitted += 1;
+            }
+            self.next += 1;
+        }
+    }
+
+    /// The run's error, if any: a sink failure outranks a job failure.
+    fn into_error(self) -> Option<SfError> {
+        self.sink_err.or(self.job_err.map(|(_, e)| e))
     }
 }
 
@@ -448,7 +394,7 @@ pub struct ScheduleReport {
     /// machine-derived defaults, by the oversubscription clamp — see
     /// the [module docs](self)).
     pub workers: usize,
-    /// Successful steals between worker deques (0 on sequential runs).
+    /// Successful steals between worker deques (0 at one worker).
     pub steals: usize,
     /// Jobs served from the attached [`ResultCache`] (0 when no cache
     /// is attached). `cache_hits + cache_misses = jobs` exactly when a
@@ -543,9 +489,17 @@ mod tests {
         )
         .unwrap();
         let mut set = plan.expand().unwrap();
-        let mut sink = MemorySink::new();
-        let err = Scheduler::new(2).run(&mut set, &mut sink).unwrap_err();
-        assert!(matches!(err, SfError::Traffic(_)), "{err}");
+        for workers in [1, 2] {
+            let mut sink = MemorySink::new();
+            let err = Scheduler::new(workers)
+                .run(&mut set, &mut sink)
+                .unwrap_err();
+            assert!(
+                matches!(err, SfError::Traffic(_)),
+                "workers={workers}: {err}"
+            );
+            assert!(sink.records().is_empty(), "workers={workers}");
+        }
     }
 
     #[test]
@@ -573,11 +527,49 @@ mod tests {
         )
         .unwrap();
         let mut set = plan.expand().unwrap();
-        let mut sink = MemorySink::new();
-        let err = Scheduler::new(2).run(&mut set, &mut sink).unwrap_err();
-        assert!(matches!(err, SfError::Traffic(_)), "{err}");
-        assert_eq!(sink.records().len(), 1, "job 0's record must survive");
-        assert_eq!(sink.records()[0].spec, "sf:q=5");
+        for workers in [1, 2] {
+            let mut sink = MemorySink::new();
+            let err = Scheduler::new(workers)
+                .run(&mut set, &mut sink)
+                .unwrap_err();
+            assert!(
+                matches!(err, SfError::Traffic(_)),
+                "workers={workers}: {err}"
+            );
+            assert_eq!(
+                sink.records().len(),
+                1,
+                "workers={workers}: job 0's record must survive"
+            );
+            assert_eq!(sink.records()[0].spec, "sf:q=5");
+        }
+    }
+
+    #[test]
+    fn a_sink_error_stops_emission_and_surfaces() {
+        /// Takes one record, then fails like a closed pipe.
+        struct OneThenBrokenPipe(usize);
+        impl RecordSink for OneThenBrokenPipe {
+            fn record(&mut self, _: &Record) -> Result<(), SfError> {
+                self.0 += 1;
+                if self.0 > 1 {
+                    return Err(SfError::Io(std::io::ErrorKind::BrokenPipe.into()));
+                }
+                Ok(())
+            }
+        }
+        let mut set = tiny_plan(false).expand().unwrap();
+        for workers in [1, 2] {
+            let mut sink = OneThenBrokenPipe(0);
+            let err = Scheduler::new(workers)
+                .run(&mut set, &mut sink)
+                .unwrap_err();
+            assert!(
+                matches!(&err, SfError::Io(e) if e.kind() == std::io::ErrorKind::BrokenPipe),
+                "workers={workers}: {err}"
+            );
+            assert_eq!(sink.0, 2, "workers={workers}: no record after the failure");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use slimfly::prelude::*;
 #[test]
 fn tiny_end_to_end_experiment() {
     let records = Experiment::on("sf:q=5")
-        .routing(RouteAlgo::Min)
+        .routing(RoutingSpec::Min)
         .traffic(TrafficSpec::Uniform)
         .loads(&[0.1, 0.3])
         .sim(SimConfig {
@@ -38,6 +38,15 @@ fn tiny_end_to_end_experiment() {
     assert!(records[0].offered < records[1].offered);
 }
 
+/// Streams `records` through a sink's whole lifecycle.
+fn write_all(sink: &mut dyn RecordSink, records: &[Record]) {
+    sink.begin().unwrap();
+    for r in records {
+        sink.record(r).unwrap();
+    }
+    sink.finish().unwrap();
+}
+
 /// Records serialize to both CSV (with header) and JSON lines.
 #[test]
 fn records_serialize_to_csv_and_json() {
@@ -53,13 +62,13 @@ fn records_serialize_to_csv_and_json() {
         .unwrap();
 
     let mut csv = Vec::new();
-    write_csv(&records, &mut csv).unwrap();
+    write_all(&mut CsvSink::new(&mut csv), &records);
     let csv = String::from_utf8(csv).unwrap();
     assert!(csv.starts_with("topology,spec,routing,traffic,backend,packet_size,offered"));
     assert!(csv.contains("SF(q=5,p=4)"));
 
     let mut json = Vec::new();
-    write_json_lines(&records, &mut json).unwrap();
+    write_all(&mut JsonLinesSink::new(&mut json), &records);
     let line = String::from_utf8(json).unwrap();
     assert!(line.contains("\"routing\":\"MIN\""));
     assert!(line.contains("\"offered\":0.2"));
